@@ -23,7 +23,7 @@ import (
 func main() {
 	cfg := core.DefaultConfig()
 	cfg.WarmupRefs = 40000
-	shared := cli.New(flag.CommandLine, &cfg).Sim().Obs().Shards().Workers()
+	shared := cli.New(flag.CommandLine, &cfg).Sim().Obs().Workers()
 	flag.StringVar(&cfg.Protocol, "protocol", cfg.Protocol, "coherence protocol: directory | dico | providers | arin")
 	protocols := flag.String("protocols", "", "comma-separated protocols to run concurrently and compare (overrides -protocol; 'all' = every protocol)")
 	flag.StringVar(&cfg.Workload, "workload", cfg.Workload, "Table IV workload (e.g. apache4x16p, jbb4x16p, mixed-sci)")
@@ -218,12 +218,6 @@ func report(cfg core.Config, res *core.Result) {
 		if v := res.Counters.Value(name); v > 0 {
 			fmt.Printf("  %-16s %d\n", name, v)
 		}
-	}
-	if len(res.Census) > 0 {
-		fmt.Println()
-		fmt.Print(telemetry.CensusTable(
-			fmt.Sprintf("touch census: synchronous remote-tile accesses (%s, ranked by messageization cost)", cfg.Protocol),
-			res.Census))
 	}
 	if len(res.PerVM) > 0 {
 		fmt.Println()

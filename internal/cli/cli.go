@@ -1,7 +1,7 @@
 // Package cli centralizes the command-line surface shared by the
 // cmd/* tools. Every tool that drives simulations binds the same flag
 // names, defaults and help texts onto its flag set from here, so
-// `-seed`, `-check` or `-shards` mean exactly the same thing in
+// `-seed`, `-check` or `-workers` mean exactly the same thing in
 // cmpsim, experiments and bench, and a new simulation knob becomes a
 // flag in every tool by touching one file.
 package cli
@@ -14,8 +14,8 @@ import (
 )
 
 // Flags binds groups of shared flags onto one flag.FlagSet, writing
-// into one core.Config. Call the group methods (Sim, Obs, Shards,
-// Workers) before fs.Parse and Finish after it; the config then holds
+// into one core.Config. Call the group methods (Sim, Obs, Workers)
+// before fs.Parse and Finish after it; the config then holds
 // the fully resolved values.
 type Flags struct {
 	fs  *flag.FlagSet
@@ -75,22 +75,8 @@ func (f *Flags) Obs() *Flags {
 		"record a time-series sample of all counters every N cycles (0 = off)")
 	fs.IntVar(&cfg.SampleCap, "sample-cap", cfg.SampleCap,
 		"max time-series samples retained per run, drop-oldest (0 = default)")
-	fs.BoolVar(&cfg.Census, "census", cfg.Census,
-		"count every synchronous remote-tile touch per (engine, handler, structure) and report the ranked cross-shard inventory")
 	fs.BoolVar(&cfg.PerVM, "pervm", cfg.PerVM,
 		"attribute power counters, network energy and miss latency to the requesting VM (per-VM banks folded into the globals at measure end)")
-	return f
-}
-
-// Shards registers the -shards flag: the conservative-PDES executor
-// selector (DESIGN.md §13). Separate from Sim because sharding never
-// changes results, only how the run executes — tools like bench bind
-// it without the rest of the simulation surface.
-func (f *Flags) Shards() *Flags {
-	f.fs.IntVar(&f.cfg.Shards, "shards", f.cfg.Shards,
-		"partition the mesh into N contiguous tile shards, each on its own kernel lane (0 = single kernel; results are bit-identical)")
-	f.fs.BoolVar(&f.cfg.Parallel, "parallel", f.cfg.Parallel,
-		"run the sharded lanes concurrently in conservative lookahead windows (requires -shards N; results stay bit-identical; falls back to the sequential merge when hub-resident observability is armed)")
 	return f
 }
 

@@ -18,12 +18,12 @@ func parse(t *testing.T, f *Flags, fs *flag.FlagSet, args ...string) {
 func TestSimFlagsBindAndResolve(t *testing.T) {
 	cfg := core.DefaultConfig()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	f := New(fs, &cfg).Sim().Obs().Shards().Workers()
+	f := New(fs, &cfg).Sim().Obs().Workers()
 	parse(t, f, fs,
 		"-tiles", "16", "-areas", "4", "-refs", "123", "-warmup", "456",
 		"-seed", "9", "-alt", "-nodedup", "-unicast-broadcast",
 		"-check", "-profile", "-trace-out", "t.json", "-trace-cap", "7",
-		"-sample", "1000", "-sample-cap", "8", "-shards", "3", "-workers", "2")
+		"-sample", "1000", "-sample-cap", "8", "-workers", "2")
 	if cfg.Tiles != 16 || cfg.Areas != 4 || cfg.RefsPerCore != 123 || cfg.WarmupRefs != 456 || cfg.Seed != 9 {
 		t.Errorf("sim fields not bound: %+v", cfg)
 	}
@@ -36,9 +36,6 @@ func TestSimFlagsBindAndResolve(t *testing.T) {
 	if cfg.SampleEvery != 1000 || cfg.SampleCap != 8 {
 		t.Errorf("sampling flags not resolved: %+v", cfg)
 	}
-	if cfg.Shards != 3 {
-		t.Errorf("Shards = %d, want 3", cfg.Shards)
-	}
 	if f.WorkersN != 2 {
 		t.Errorf("WorkersN = %d, want 2", f.WorkersN)
 	}
@@ -50,11 +47,11 @@ func TestSimFlagsBindAndResolve(t *testing.T) {
 func TestDefaultsComeFromConfig(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.WarmupRefs = 40000
-	cfg.Shards = 2
+	cfg.Seed = 7
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	f := New(fs, &cfg).Sim().Obs().Shards()
+	f := New(fs, &cfg).Sim().Obs()
 	parse(t, f, fs)
-	if cfg.WarmupRefs != 40000 || cfg.Shards != 2 {
+	if cfg.WarmupRefs != 40000 || cfg.Seed != 7 {
 		t.Errorf("pre-seeded defaults lost: %+v", cfg)
 	}
 	if !cfg.Dedup {
@@ -70,13 +67,13 @@ func TestFinishTouchesOnlyBoundGroups(t *testing.T) {
 	cfg.Dedup = false
 	cfg.SampleEvery = 77
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	f := New(fs, &cfg).Shards()
-	parse(t, f, fs, "-shards", "4")
+	f := New(fs, &cfg).Workers()
+	parse(t, f, fs, "-workers", "4")
 	if cfg.Dedup || cfg.SampleEvery != 77 {
 		t.Errorf("unbound groups clobbered: %+v", cfg)
 	}
-	if cfg.Shards != 4 {
-		t.Errorf("Shards = %d, want 4", cfg.Shards)
+	if f.WorkersN != 4 {
+		t.Errorf("WorkersN = %d, want 4", f.WorkersN)
 	}
 }
 

@@ -55,12 +55,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: workload %q runs %d VMs, which cannot be placed on %d tiles: %w",
 			c.Workload, len(w.VMs), c.Tiles, err)
 	}
-	if c.Shards < 0 || c.Shards > c.Tiles {
-		return fmt.Errorf("core: Shards = %d must be in [0, Tiles=%d] (0 = single kernel)", c.Shards, c.Tiles)
-	}
-	if c.Parallel && c.Shards <= 0 {
-		return fmt.Errorf("core: Parallel requires Shards > 0 (the window executor runs the sharded lanes concurrently)")
-	}
 	if c.RefsPerCore <= 0 {
 		return fmt.Errorf("core: RefsPerCore = %d must be positive", c.RefsPerCore)
 	}

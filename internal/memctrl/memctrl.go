@@ -5,8 +5,6 @@
 package memctrl
 
 import (
-	"sync"
-
 	"repro/internal/cache"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -115,10 +113,9 @@ const tlbSize = 8192
 // copy-on-write frame. CoW frames are reserved at page-table
 // construction (one per deduplicated (vm, vpage) pair, in construction
 // order) so a break at run time activates a predetermined frame instead
-// of drawing from the shared allocator — the frame number is then
-// independent of break order, which is what lets concurrent lanes break
-// pages without serializing on an allocation counter. Regular frames
-// stay far below this base, and block addresses stay under 2^40.
+// of drawing from the shared allocator, so the frame number does not
+// depend on break order. Regular frames stay far below this base, and
+// block addresses stay under 2^40.
 const cowFrameBase = 1 << 30
 
 // tlbEntry caches one established (vm, vpage, class) -> phys mapping.
@@ -140,18 +137,8 @@ type tlbEntry struct {
 // Mapper is the hypervisor page table: it maps (vm, virtual page) to
 // physical pages, merging identical read-only pages across VMs when
 // deduplication is enabled, and breaking the sharing with copy-on-write
-// when a deduplicated page is written.
-//
-// Lane safety: the page tables are fully populated at construction
-// (the generator pre-maps every page), so run-time translations are
-// lookups except for copy-on-write breaks. A sync.RWMutex guards the
-// slow path; each executor lane gets its own direct-mapped TLB slot
-// (SetLanes) read without locks; and a break's new frame becomes
-// visible to *readers* only delay cycles later (SetCoWDelay — the
-// parallel executor sets the kernel lookahead, within which no lane
-// can observe another's same-window break anyway), which makes the
-// outcome of every translation a pure function of its timestamp,
-// independent of how concurrent lanes interleave.
+// when a deduplicated page is written. A break's new frame becomes
+// visible to readers only delay cycles later (SetCoWDelay).
 type Mapper struct {
 	dedup      bool
 	nextPhys   uint64
@@ -162,9 +149,7 @@ type Mapper struct {
 	cowNext    uint64
 	sharedSeen map[pageKey]bool // (vm, vpage) pairs already counted
 	delay      sim.Time         // read visibility delay of a CoW break
-	mu         sync.RWMutex     // guards the maps above
-	tlbs       [][]tlbEntry     // per-lane direct-mapped front caches
-	lanes      []*sim.Kernel    // per-lane kernels for deferred TLB shootdowns
+	tlb        []tlbEntry       // direct-mapped front cache
 
 	// Statistics.
 	PrivatePages uint64
@@ -182,17 +167,17 @@ func NewMapper(dedup bool) *Mapper {
 		cowRes:     make(map[pageKey]uint64),
 		cowAt:      make(map[pageKey]sim.Time),
 		sharedSeen: make(map[pageKey]bool),
-		tlbs:       [][]tlbEntry{newTLB()},
+		tlb:        make([]tlbEntry, tlbSize),
 	}
+	m.flushTLB()
 	return m
 }
 
-func newTLB() []tlbEntry {
-	t := make([]tlbEntry, tlbSize)
-	for i := range t {
-		t[i].vm = -1
+// flushTLB invalidates every TLB entry.
+func (m *Mapper) flushTLB() {
+	for i := range m.tlb {
+		m.tlb[i] = tlbEntry{vm: -1}
 	}
-	return t
 }
 
 // DedupEnabled reports whether deduplication is on.
@@ -201,23 +186,8 @@ func (m *Mapper) DedupEnabled() bool { return m.dedup }
 // SetCoWDelay sets the visibility delay of copy-on-write breaks: a
 // break at cycle t resolves readers to the old shared frame until t +
 // delay. Zero (the default) is immediate visibility. The system sets
-// the kernel lookahead here for every executor, so serial, merged and
-// parallel runs share one timing model.
+// one mesh hop here.
 func (m *Mapper) SetCoWDelay(d sim.Time) { m.delay = d }
-
-// SetLanes gives each executor lane a private TLB and the kernel whose
-// barrier a break's TLB shootdown defers to. Translations then pass
-// their lane as slot. All TLBs start cold.
-func (m *Mapper) SetLanes(kernels []*sim.Kernel) {
-	if len(kernels) == 0 {
-		panic("memctrl: SetLanes with no lanes")
-	}
-	m.lanes = kernels
-	m.tlbs = make([][]tlbEntry, len(kernels))
-	for i := range m.tlbs {
-		m.tlbs[i] = newTLB()
-	}
-}
 
 func (m *Mapper) allocPhys() uint64 {
 	p := m.nextPhys
@@ -226,39 +196,37 @@ func (m *Mapper) allocPhys() uint64 {
 }
 
 // reserveCoW assigns the pair its predetermined copy-on-write frame.
-// Caller holds the write lock; pairs are first seen at construction
-// (single-threaded), so the reservation order is deterministic.
+// Pairs are first seen at construction, so the reservation order is
+// deterministic.
 func (m *Mapper) reserveCoW(key pageKey) {
 	m.cowRes[key] = cowFrameBase + m.cowNext
 	m.cowNext++
 }
 
-// Translate maps a virtual page of a VM to a physical page through
-// lane 0 at cycle 0: the construction-time and single-executor form of
-// TranslateAt.
+// Translate maps a virtual page of a VM to a physical page at cycle 0:
+// the construction-time form of TranslateAt.
 func (m *Mapper) Translate(vm int, vpage uint64, class PageClass, write bool) (phys uint64, cow bool) {
-	return m.TranslateAt(vm, vpage, class, write, 0, 0)
+	return m.TranslateAt(vm, vpage, class, write, 0)
 }
 
 // TranslateAt maps a virtual page of a VM to a physical page, as seen
-// by executor lane slot at cycle now. write triggers copy-on-write on
+// at cycle now. write triggers copy-on-write on
 // deduplicated pages. The returned cow flag reports that this call
 // broke a sharing (the caller may account a page-copy cost).
 //
-// A direct-mapped cache per lane sits in front of the page-table maps:
+// A direct-mapped cache sits in front of the page-table maps:
 // once a mapping is established (and, for deduplicated pages, once any
 // copy-on-write has resolved and become visible) the maps are never
 // consulted again for it. First touches and CoW-breaking writes always
 // reach the slow path, so the mapper's statistics and allocation order
 // are unchanged.
-func (m *Mapper) TranslateAt(vm int, vpage uint64, class PageClass, write bool, slot int, now sim.Time) (phys uint64, cow bool) {
-	h := (vpage ^ uint64(vm)<<59) * 0x9E3779B97F4A7C15 >> 32 & (tlbSize - 1)
-	e := &m.tlbs[slot][h]
+func (m *Mapper) TranslateAt(vm int, vpage uint64, class PageClass, write bool, now sim.Time) (phys uint64, cow bool) {
+	e := &m.tlb[tlbIndex(pageKey{vm, vpage})]
 	if e.vpage == vpage && e.vm == int32(vm) && e.class == int8(class) &&
 		(e.writeSafe || !write) && (e.until == 0 || now < e.until) {
 		return e.phys, false
 	}
-	phys, cow, writeSafe, until, cache := m.translateSlow(vm, vpage, class, write, slot, now)
+	phys, cow, writeSafe, until, cache := m.translateSlow(vm, vpage, class, write, now)
 	if cache {
 		// Writes inside a pending break are not cached: their frame is
 		// not readable until the visibility time, and the shootdown a
@@ -269,38 +237,25 @@ func (m *Mapper) TranslateAt(vm int, vpage uint64, class PageClass, write bool, 
 	return phys, cow
 }
 
-func (m *Mapper) translateSlow(vm int, vpage uint64, class PageClass, write bool, slot int, now sim.Time) (phys uint64, cow, writeSafe bool, until sim.Time, cache bool) {
+func (m *Mapper) translateSlow(vm int, vpage uint64, class PageClass, write bool, now sim.Time) (phys uint64, cow, writeSafe bool, until sim.Time, cache bool) {
 	key := pageKey{vm, vpage}
 	if class != PageDedup || !m.dedup {
-		m.mu.RLock()
-		p, ok := m.private[key]
-		m.mu.RUnlock()
-		if ok {
-			return p, false, true, 0, true
-		}
-		m.mu.Lock()
-		defer m.mu.Unlock()
 		if p, ok := m.private[key]; ok {
 			return p, false, true, 0, true
 		}
-		p = m.allocPhys()
+		p := m.allocPhys()
 		m.private[key] = p
 		m.PrivatePages++
 		return p, false, true, 0, true
 	}
 	// Deduplicated page: one physical copy per content id unless this
 	// VM broke it with a (visible) write.
-	m.mu.RLock()
 	vAt, broken := m.cowAt[key]
 	if broken && now >= vAt {
-		p := m.cowRes[key]
-		m.mu.RUnlock()
-		return p, false, true, 0, true
+		return m.cowRes[key], false, true, 0, true
 	}
 	sp, known := m.shared[vpage]
-	seen := m.sharedSeen[key]
-	m.mu.RUnlock()
-	if !write && known && seen {
+	if !write && known && m.sharedSeen[key] {
 		if broken {
 			// Pending break: readers resolve to the shared frame until
 			// the new copy becomes visible.
@@ -308,10 +263,7 @@ func (m *Mapper) translateSlow(vm int, vpage uint64, class PageClass, write bool
 		}
 		return sp, false, false, 0, true
 	}
-	// First touch of the pair, or a write: mutate under the write lock.
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	sp, known = m.shared[vpage]
+	// First touch of the pair, or a write.
 	if !known {
 		sp = m.allocPhys()
 		m.shared[vpage] = sp
@@ -328,54 +280,29 @@ func (m *Mapper) translateSlow(vm int, vpage uint64, class PageClass, write bool
 		return sp, false, false, 0, true
 	}
 	frame := m.cowRes[key]
-	vAt, broken = m.cowAt[key]
-	if broken && now >= vAt {
-		return frame, false, true, 0, true
-	}
 	nv := now + m.delay
 	if broken {
 		// A second writer inside the visibility window: the break
-		// already counted; keep the earliest visibility time (min is
-		// order-independent, so concurrent lanes converge on the same
-		// value the serial executor computes).
+		// already counted; keep the earliest visibility time.
 		if nv < vAt {
 			m.cowAt[key] = nv
-			m.shootdown(key, slot)
+			m.shootdown(key)
 		}
 		return frame, false, true, 0, false
 	}
 	m.cowAt[key] = nv
 	m.CoWBreaks++
-	m.shootdown(key, slot)
+	m.shootdown(key)
 	return frame, true, true, 0, false
 }
 
-// shootdown invalidates every lane's TLB slot for a broken pair. In a
-// parallel window the clear is deferred to the barrier — stale entries
-// resolve readers to the old shared frame meanwhile, which is exactly
-// the pending-break semantics, and the barrier runs before any lane's
-// clock can reach the visibility time. Outside a window (serial or
-// merged executor, single-threaded) the clear is immediate.
-func (m *Mapper) shootdown(key pageKey, slot int) {
-	if m.lanes != nil {
-		if k := m.lanes[slot]; k.Deferring() {
-			k.Defer(0, m.deferredShootdown, key)
-			return
-		}
-	}
-	m.clearKey(key)
+// tlbIndex is the TLB slot of a (vm, vpage) pair.
+func tlbIndex(key pageKey) uint64 {
+	return (key.vpage ^ uint64(key.vm)<<59) * 0x9E3779B97F4A7C15 >> 32 & (tlbSize - 1)
 }
 
-func (m *Mapper) deferredShootdown(arg any, _ uint64) {
-	m.clearKey(arg.(pageKey))
-}
-
-func (m *Mapper) clearKey(key pageKey) {
-	h := (key.vpage ^ uint64(key.vm)<<59) * 0x9E3779B97F4A7C15 >> 32 & (tlbSize - 1)
-	for _, t := range m.tlbs {
-		t[h] = tlbEntry{vm: -1}
-	}
-}
+// shootdown invalidates the TLB slot of a broken pair.
+func (m *Mapper) shootdown(key pageKey) { m.tlb[tlbIndex(key)] = tlbEntry{vm: -1} }
 
 // BlockAddr converts a physical page and block offset into a block
 // address.

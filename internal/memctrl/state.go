@@ -157,11 +157,7 @@ func (m *Mapper) RestoreState(st *MapperState) error {
 	for _, e := range st.Seen {
 		m.sharedSeen[pageKey{e.VM, e.VPage}] = true
 	}
-	for _, t := range m.tlbs {
-		for i := range t {
-			t[i] = tlbEntry{vm: -1}
-		}
-	}
+	m.flushTLB()
 	m.PrivatePages = st.PrivatePages
 	m.SharedPages = st.SharedPages
 	m.DedupRefs = st.DedupRefs

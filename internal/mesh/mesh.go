@@ -94,53 +94,11 @@ type Network struct {
 	stats     Stats
 	obs       Observer // nil = no tap
 
-	// Sharded delivery (SetSharding): each tile's arrivals are scheduled
-	// on its shard's kernel lane, and cross-shard deliveries are checked
-	// against the conservative lookahead. nil = all deliveries on kernel.
-	deliver []*sim.Kernel // [tile] delivery kernel
-	shardOf []int         // [tile] shard index
-
-	// Parallel-window state (only used while a lane kernel reports
-	// Deferring). Cross-tile sends mutate link reservations and the
-	// shared counters, so inside a window they are logged as pooled
-	// barrier-deferred ops and replayed at the barrier in exact merged
-	// serial order. Same-tile sends touch no links; their counters go to
-	// the sender lane's private bank, folded in by Stats(). The pools
-	// are per sender lane: a lane's goroutine pops during its window,
-	// the single-threaded barrier pushes back.
-	laneStats []Stats      // [lane] same-tile counter bank
-	sendPool  [][]*sendOp  // [lane] free deferred-unicast ops
-	bcastPool [][]*bcastOp // [lane] free deferred-broadcast ops
-
 	// Scratch buffer reused across calls to keep the broadcast hot
 	// path allocation-free. Fully rewritten before use and never live
 	// past the call that fills it (deliveries are scheduled through
 	// the kernel, so Broadcast never re-enters).
 	arrival []sim.Time // per-tile broadcast arrival, indexed by tile id
-}
-
-// sendOp is one cross-tile unicast deferred to the window barrier.
-type sendOp struct {
-	n        *Network
-	src, dst topo.Tile
-	lane     int32
-	flits    int32
-	sendAt   sim.Time
-	tag      uint64
-	run      func()    // closure delivery form (nil when argFn used)
-	argFn    func(any) // argument delivery form
-	arg      any
-}
-
-// bcastOp is one spanning-tree broadcast deferred to the window barrier.
-type bcastOp struct {
-	n       *Network
-	src     topo.Tile
-	lane    int32
-	flits   int32
-	sendAt  sim.Time
-	tag     uint64
-	deliver func(dst topo.Tile)
 }
 
 // New returns a network over grid driven by kernel.
@@ -157,90 +115,6 @@ func New(kernel *sim.Kernel, grid topo.Grid, cfg Config) *Network {
 
 // SetObserver attaches (or with nil detaches) the message tap.
 func (n *Network) SetObserver(o Observer) { n.obs = o }
-
-// SetSharding routes each tile's deliveries to its shard's kernel lane:
-// deliver[shardOf[t]] is the kernel that dispatches arrivals at tile t.
-// The mesh is the only cross-shard channel in the system, so this is
-// the single place conservative sharding touches message flow; the
-// per-delivery lookahead assert below is the ownership guarantee the
-// executors rely on. Pass (nil, nil) to revert to single-kernel mode.
-func (n *Network) SetSharding(deliver []*sim.Kernel, shardOf []int) {
-	if deliver == nil {
-		n.deliver, n.shardOf = nil, nil
-		n.laneStats, n.sendPool, n.bcastPool = nil, nil, nil
-		return
-	}
-	lanes := 0
-	for _, s := range shardOf {
-		if s+1 > lanes {
-			lanes = s + 1
-		}
-	}
-	n.laneStats = make([]Stats, lanes)
-	n.sendPool = make([][]*sendOp, lanes)
-	n.bcastPool = make([][]*bcastOp, lanes)
-	if len(shardOf) != n.grid.Tiles() {
-		panic(fmt.Sprintf("mesh: shard map covers %d tiles, grid has %d", len(shardOf), n.grid.Tiles()))
-	}
-	kernels := make([]*sim.Kernel, n.grid.Tiles())
-	for t, s := range shardOf {
-		if s < 0 || s >= len(deliver) {
-			panic(fmt.Sprintf("mesh: tile %d mapped to shard %d of %d", t, s, len(deliver)))
-		}
-		kernels[t] = deliver[s]
-	}
-	n.deliver, n.shardOf = kernels, shardOf
-}
-
-// Lookahead returns the conservative synchronization horizon the mesh
-// guarantees: any message between distinct tiles takes at least one
-// full hop (link + switch + router), so a shard never receives work
-// less than Lookahead cycles in the future from another shard.
-func (n *Network) Lookahead() sim.Time { return n.hopLatency() }
-
-// BoundaryLinks counts the directed mesh links whose endpoints lie in
-// different shards under the tile->shard map — the communication
-// surface a partition exposes (fewer boundary links means less
-// cross-shard traffic to synchronize).
-func BoundaryLinks(grid topo.Grid, shardOf []int) int {
-	if len(shardOf) != grid.Tiles() {
-		panic("mesh: shard map does not cover the grid")
-	}
-	cross := 0
-	for t := 0; t < grid.Tiles(); t++ {
-		x, y := grid.Coord(topo.Tile(t))
-		if x+1 < grid.Cols && shardOf[t] != shardOf[grid.At(x+1, y)] {
-			cross += 2 // east + west
-		}
-		if y+1 < grid.Rows && shardOf[t] != shardOf[grid.At(x, y+1)] {
-			cross += 2 // south + north
-		}
-	}
-	return cross
-}
-
-// deliverKernel returns the kernel that dispatches arrivals at dst.
-func (n *Network) deliverKernel(dst topo.Tile) *sim.Kernel {
-	if n.deliver == nil {
-		return n.kernel
-	}
-	return n.deliver[dst]
-}
-
-// checkLookahead asserts the conservative-PDES ownership contract on a
-// cross-shard delivery: the arrival must lie at least one hop latency
-// past injection time. Unreachable for a correctly routed message (a
-// cross-shard message crosses >= 1 boundary link by construction), so
-// a hit means the partition or the timing model was broken.
-func (n *Network) checkLookahead(src, dst topo.Tile, now, at sim.Time) {
-	if n.shardOf == nil || n.shardOf[src] == n.shardOf[dst] {
-		return
-	}
-	if at < now+n.hopLatency() {
-		panic(fmt.Sprintf("mesh: cross-shard delivery %d->%d at +%d cycles, below lookahead %d",
-			src, dst, at-now, n.hopLatency()))
-	}
-}
 
 // LinkFlits copies the per-directed-link flit counters into dst
 // (allocating when dst is too small) and returns it. Index layout is
@@ -275,32 +149,12 @@ func DirectionName(d Direction) string {
 	return "?"
 }
 
-// Stats returns a copy of the accumulated counters, with any per-lane
-// same-tile banks folded in. The banks hold plain sums, so the merged
-// value is identical to what a serial run accumulates in one struct.
-func (n *Network) Stats() Stats {
-	s := n.stats
-	for i := range n.laneStats {
-		b := &n.laneStats[i]
-		s.Messages += b.Messages
-		s.Broadcasts += b.Broadcasts
-		s.FlitLinkCrossing += b.FlitLinkCrossing
-		s.RouterTraversals += b.RouterTraversals
-		s.TotalHops += b.TotalHops
-		s.TotalLatency += b.TotalLatency
-		s.QueueingCycles += b.QueueingCycles
-	}
-	return s
-}
+// Stats returns a copy of the accumulated counters.
+func (n *Network) Stats() Stats { return n.stats }
 
 // ResetStats zeroes the activity counters (used to discard a warmup
 // phase); link reservations are left intact.
-func (n *Network) ResetStats() {
-	n.stats = Stats{}
-	for i := range n.laneStats {
-		n.laneStats[i] = Stats{}
-	}
-}
+func (n *Network) ResetStats() { n.stats = Stats{} }
 
 // Grid returns the mesh dimensions.
 func (n *Network) Grid() topo.Grid { return n.grid }
@@ -309,8 +163,7 @@ func (n *Network) Grid() topo.Grid { return n.grid }
 func (n *Network) Config() Config { return n.cfg }
 
 // HopLatency returns the head latency of one full mesh hop (link +
-// switch + router). It doubles as the conservative sharding lookahead:
-// no message between distinct tiles can arrive sooner.
+// switch + router): no message between distinct tiles arrives sooner.
 func (c Config) HopLatency() sim.Time {
 	return sim.Time(c.LinkCycles + c.SwitchCycles + c.RouterCycles)
 }
@@ -363,33 +216,18 @@ func (n *Network) send(src, dst topo.Tile, flits int, run func(), argFn func(any
 	if flits <= 0 {
 		panic("mesh: message must have at least one flit")
 	}
-	// The clock is read from the sender tile's lane: every Send executes
-	// on the lane owning src (the engines schedule their handlers on the
-	// executing tile's kernel). Under the sequential executors all lane
-	// clocks agree at dispatch, so this equals the old hub read; inside
-	// a parallel window it is the only clock that exists.
-	k := n.deliverKernel(src)
-	now := k.Now()
+	now := n.kernel.Now()
 	if src == dst {
-		// Same-tile delivery through the local router/crossbar only. No
-		// link is touched, so this path stays in-window under the parallel
-		// executor; its counters go to the sender lane's bank there.
-		st := &n.stats
-		if k.Deferring() {
-			st = &n.laneStats[n.shardOf[src]]
-		}
+		// Same-tile delivery through the local router/crossbar only.
 		lat := sim.Time(n.cfg.SwitchCycles + n.cfg.RouterCycles)
-		st.Messages++
-		st.RouterTraversals++
-		st.TotalLatency += uint64(lat)
-		n.schedule(dst, now+lat, run, argFn, arg)
+		n.stats.Messages++
+		n.stats.RouterTraversals++
+		n.stats.TotalLatency += uint64(lat)
+		n.schedule(now+lat, run, argFn, arg)
 		if n.obs != nil {
 			n.obs.Message(src, dst, flits, now, now+lat, 0)
 		}
 		return Delivery{Latency: lat, Hops: 0, Routers: 1}
-	}
-	if k.Deferring() {
-		return n.deferSend(k, src, dst, flits, run, argFn, arg, now)
 	}
 	n.stats.Messages++
 	t, hops := n.walkXY(src, dst, now, flits)
@@ -399,8 +237,7 @@ func (n *Network) send(src, dst topo.Tile, flits int, run func(), argFn func(any
 	n.stats.RouterTraversals += uint64(hops + 1)
 	n.stats.TotalHops += uint64(hops)
 	n.stats.TotalLatency += uint64(lat)
-	n.checkLookahead(src, dst, now, now+lat)
-	n.schedule(dst, now+lat, run, argFn, arg)
+	n.schedule(now+lat, run, argFn, arg)
 	if n.obs != nil {
 		n.obs.Message(src, dst, flits, now, now+lat, hops)
 	}
@@ -442,71 +279,12 @@ func (n *Network) walkXY(src, dst topo.Tile, at sim.Time, flits int) (sim.Time, 
 	return t, hops
 }
 
-// deferSend logs a cross-tile unicast as a barrier-deferred op: link
-// reservations and the shared counters mutate only at the barrier, in
-// exact merged serial order. The returned Delivery carries the exact
-// hop count (a pure function of src/dst under XY routing — the only
-// field the engines read); Latency is not computable before the link
-// walk and reports zero.
-func (n *Network) deferSend(k *sim.Kernel, src, dst topo.Tile, flits int, run func(), argFn func(any), arg any, now sim.Time) Delivery {
-	if n.obs != nil {
-		panic("mesh: observer attached during a parallel window")
-	}
-	lane := n.shardOf[src]
-	var op *sendOp
-	if pool := n.sendPool[lane]; len(pool) > 0 {
-		op = pool[len(pool)-1]
-		n.sendPool[lane] = pool[:len(pool)-1]
-	} else {
-		op = &sendOp{}
-	}
-	*op = sendOp{
-		n: n, src: src, dst: dst, lane: int32(lane), flits: int32(flits),
-		sendAt: now, tag: k.Tag(), run: run, argFn: argFn, arg: arg,
-	}
-	k.Defer(1, resolveSend, op)
-	hops := n.grid.Hops(src, dst)
-	return Delivery{Latency: 0, Hops: hops, Routers: hops + 1}
-}
-
-// runClosure adapts the closure delivery form to InjectResolved's
-// argument form.
-func runClosure(a any) { a.(func())() }
-
-// resolveSend replays a deferred unicast at the window barrier: the
-// link walk, the counters, and the delivery injection with the op's
-// reserved final stamp.
-func resolveSend(a any, seqBase uint64) {
-	op := a.(*sendOp)
-	n := op.n
-	flits := int(op.flits)
-	n.stats.Messages++
-	t, hops := n.walkXY(op.src, op.dst, op.sendAt, flits)
-	lat := t - op.sendAt + sim.Time(flits-1)
-	n.stats.FlitLinkCrossing += uint64(hops * flits)
-	n.stats.RouterTraversals += uint64(hops + 1)
-	n.stats.TotalHops += uint64(hops)
-	n.stats.TotalLatency += uint64(lat)
-	n.checkLookahead(op.src, op.dst, op.sendAt, op.sendAt+lat)
-	dk := n.deliverKernel(op.dst)
-	if op.argFn != nil {
-		dk.InjectResolved(op.sendAt+lat, seqBase, op.tag, op.argFn, op.arg)
-	} else {
-		dk.InjectResolved(op.sendAt+lat, seqBase, op.tag, runClosure, op.run)
-	}
-	lane := op.lane
-	*op = sendOp{} // do not retain payloads in the pool
-	n.sendPool[lane] = append(n.sendPool[lane], op)
-}
-
-// schedule dispatches to the destination tile's kernel, through the
-// closure or argument form.
-func (n *Network) schedule(dst topo.Tile, at sim.Time, run func(), argFn func(any), arg any) {
-	k := n.deliverKernel(dst)
+// schedule dispatches a delivery through the closure or argument form.
+func (n *Network) schedule(at sim.Time, run func(), argFn func(any), arg any) {
 	if argFn != nil {
-		k.AtArg(at, argFn, arg)
+		n.kernel.AtArg(at, argFn, arg)
 	} else {
-		k.At(at, run)
+		n.kernel.At(at, run)
 	}
 }
 
@@ -528,11 +306,7 @@ func (n *Network) Broadcast(src topo.Tile, flits int, deliver func(dst topo.Tile
 	if !n.grid.Contains(src) {
 		panic("mesh: Broadcast from invalid tile")
 	}
-	k := n.deliverKernel(src)
-	now := k.Now()
-	if k.Deferring() {
-		return n.deferBroadcast(k, src, flits, deliver, now)
-	}
+	now := n.kernel.Now()
 	n.stats.Broadcasts++
 	links := n.walkTree(src, flits, now)
 
@@ -558,8 +332,7 @@ func (n *Network) Broadcast(src topo.Tile, flits int, deliver func(dst topo.Tile
 		if lat > maxLat {
 			maxLat = lat
 		}
-		n.checkLookahead(src, t, now, at+sim.Time(flits-1))
-		n.deliverKernel(t).AtArg(at+sim.Time(flits-1), deliverTo, t)
+		n.kernel.AtArg(at+sim.Time(flits-1), deliverTo, t)
 	}
 	routers := n.grid.Tiles() // every router forwards/ejects the message
 	n.stats.FlitLinkCrossing += uint64(links * flits)
@@ -609,65 +382,6 @@ func (n *Network) walkTree(src topo.Tile, flits int, at sim.Time) int {
 		}
 	}
 	return links
-}
-
-// deferBroadcast logs a broadcast as a single barrier-deferred op that
-// reserves Tiles-1 final stamps, one per destination in tile order —
-// the same order the in-window path schedules deliveries in. Tree
-// shape facts are reported exactly; MaxLatency is contention-dependent
-// and reports zero (no engine reads it).
-func (n *Network) deferBroadcast(k *sim.Kernel, src topo.Tile, flits int, deliver func(dst topo.Tile), now sim.Time) BroadcastDelivery {
-	if n.obs != nil {
-		panic("mesh: observer attached during a parallel window")
-	}
-	lane := n.shardOf[src]
-	var op *bcastOp
-	if pool := n.bcastPool[lane]; len(pool) > 0 {
-		op = pool[len(pool)-1]
-		n.bcastPool[lane] = pool[:len(pool)-1]
-	} else {
-		op = &bcastOp{}
-	}
-	*op = bcastOp{
-		n: n, src: src, lane: int32(lane), flits: int32(flits),
-		sendAt: now, tag: k.Tag(), deliver: deliver,
-	}
-	k.Defer(n.grid.Tiles()-1, resolveBroadcast, op)
-	return BroadcastDelivery{
-		Links:        n.grid.Tiles() - 1,
-		Routers:      n.grid.Tiles(),
-		Destinations: n.grid.Tiles() - 1,
-	}
-}
-
-// resolveBroadcast replays a deferred broadcast at the window barrier:
-// the spanning-tree walk, the counters, and one delivery injection per
-// destination in tile order consuming seqBase..seqBase+Tiles-2.
-func resolveBroadcast(a any, seqBase uint64) {
-	op := a.(*bcastOp)
-	n := op.n
-	flits := int(op.flits)
-	n.stats.Broadcasts++
-	links := n.walkTree(op.src, flits, op.sendAt)
-	deliver := op.deliver
-	deliverTo := func(a any) { deliver(a.(topo.Tile)) }
-	arrival := n.arrival
-	seq := seqBase
-	for i := 0; i < n.grid.Tiles(); i++ {
-		t := topo.Tile(i)
-		if t == op.src {
-			continue
-		}
-		at := arrival[t] + sim.Time(flits-1)
-		n.checkLookahead(op.src, t, op.sendAt, at)
-		n.deliverKernel(t).InjectResolved(at, seq, op.tag, deliverTo, t)
-		seq++
-	}
-	n.stats.FlitLinkCrossing += uint64(links * flits)
-	n.stats.RouterTraversals += uint64(n.grid.Tiles())
-	lane := op.lane
-	*op = bcastOp{}
-	n.bcastPool[lane] = append(n.bcastPool[lane], op)
 }
 
 // UnicastBroadcast emulates a chip without hardware broadcast support:

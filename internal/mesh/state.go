@@ -21,7 +21,7 @@ func (n *Network) State() *NetworkState {
 	st := &NetworkState{
 		LinkFree:  make([]sim.Time, len(n.linkFree)),
 		LinkFlits: make([]uint64, len(n.linkFlits)),
-		Stats:     n.Stats(), // merged view: folds any per-lane banks in
+		Stats:     n.stats,
 	}
 	copy(st.LinkFree, n.linkFree)
 	copy(st.LinkFlits, n.linkFlits)
@@ -37,8 +37,5 @@ func (n *Network) RestoreState(st *NetworkState) error {
 	copy(n.linkFree, st.LinkFree)
 	copy(n.linkFlits, st.LinkFlits)
 	n.stats = st.Stats
-	for i := range n.laneStats {
-		n.laneStats[i] = Stats{}
-	}
 	return nil
 }

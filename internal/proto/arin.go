@@ -9,7 +9,6 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
 	"repro/internal/topo"
 )
 
@@ -44,7 +43,6 @@ func arIsOwner(s cache.State) bool {
 type Arin struct {
 	ctx   *Context
 	tiles []*tileState
-	cen   arCensus
 
 	// Long-lived adapters for the kernel/mesh argument fast path:
 	// protocol hops travel as (fn, *arMsg) pairs instead of
@@ -61,26 +59,7 @@ type Arin struct {
 	memFillFn func(any)
 	flushFn   func(any)
 
-	// free holds one message pool per tile, indexed by the executing
-	// tile (see Directory.free).
-	free []*arMsg
-}
-
-// arCensus holds the engine's registered touch sites. After
-// messageization every site records on the executing tile's diagonal
-// (src == dst): the former cross-tile requestor-MSHR pokes now ride
-// the messages, and the recall path reads the displaced pointer
-// instead of scanning every tile's L1.
-type arCensus struct {
-	l1Class, l1FwdHome            *telemetry.TouchSite
-	dissolveClass                 *telemetry.TouchSite
-	ownerWClass, ownerWAcks       *telemetry.TouchSite
-	homeFwd, homeMemFetch         *telemetry.TouchSite
-	homeInterClass                *telemetry.TouchSite
-	homeOwnedClass, homeOwnedAcks *telemetry.TouchSite
-	bcastClass, bcastAcks         *telemetry.TouchSite
-	deliver, memResp              *telemetry.TouchSite
-	recallScan                    *telemetry.TouchSite
+	free *arMsg // message node free list
 }
 
 // arMsg is the pooled argument node for DiCo-Arin's non-capturing
@@ -96,13 +75,11 @@ type arMsg struct {
 	bcast    bool // delivery completes a three-phase broadcast write
 }
 
-// msg takes a node from the executing lane's pool; at must be the
-// tile whose lane is running the caller.
-func (p *Arin) msg(at topo.Tile, r arReq) *arMsg {
-	lane := p.ctx.Lane(at)
-	m := p.free[lane]
+// msg takes a node from the pool.
+func (p *Arin) msg(r arReq) *arMsg {
+	m := p.free
 	if m != nil {
-		p.free[lane] = m.next
+		p.free = m.next
 	} else {
 		m = &arMsg{}
 	}
@@ -110,11 +87,10 @@ func (p *Arin) msg(at topo.Tile, r arReq) *arMsg {
 	return m
 }
 
-// putMsg recycles a node into the executing lane's pool.
-func (p *Arin) putMsg(at topo.Tile, m *arMsg) {
-	lane := p.ctx.Lane(at)
-	m.next = p.free[lane]
-	p.free[lane] = m
+// putMsg recycles a node into the pool.
+func (p *Arin) putMsg(m *arMsg) {
+	m.next = p.free
+	p.free = m
 }
 
 // bindHandlers builds the long-lived adapter funcs once.
@@ -122,28 +98,28 @@ func (p *Arin) bindHandlers() {
 	p.atHomeFn = func(a any) {
 		m := a.(*arMsg)
 		r := m.r
-		p.putMsg(p.ctx.HomeOf(r.addr), m)
+		p.putMsg(m)
 		p.atHome(r)
 	}
 	p.atL1Fn = func(a any) {
 		m := a.(*arMsg)
 		r, tile := m.r, m.tile
-		p.putMsg(tile, m)
+		p.putMsg(m)
 		p.atL1(r, tile)
 	}
 	p.invalShFn = func(a any) {
 		m := a.(*arMsg)
 		tile, addr, requestor := m.tile, m.r.addr, m.r.requestor
-		p.putMsg(tile, m)
-		ctx := p.ctx.At(tile)
+		p.putMsg(m)
+		ctx := p.ctx
 		ctx.chargeVM(requestor)
 		p.invalidateSharer(ctx, tile, addr, requestor)
 	}
 	p.shAckFn = func(a any) {
 		m := a.(*arMsg)
 		requestor, addr := m.tile, m.r.addr
-		p.putMsg(requestor, m)
-		ctx := p.ctx.At(requestor)
+		p.putMsg(m)
+		ctx := p.ctx
 		ctx.chargeVM(requestor)
 		if e, ok := p.tiles[requestor].mshr.Lookup(addr); ok {
 			e.SharerAcks--
@@ -153,10 +129,9 @@ func (p *Arin) bindHandlers() {
 	p.deliverFn = func(a any) {
 		m := a.(*arMsg)
 		r, state, dirty, supplier, bcast := m.r, m.state, m.dirty, m.supplier, m.bcast
-		p.putMsg(r.requestor, m)
-		ctx := p.ctx.At(r.requestor)
+		p.putMsg(m)
+		ctx := p.ctx
 		ctx.chargeVM(r.requestor)
-		p.cen.deliver.Touch(int(r.requestor), int(r.requestor))
 		p.fillL1(ctx, r.requestor, r.addr, state, dirty, supplier)
 		if e, ok := p.tiles[r.requestor].mshr.Lookup(r.addr); ok {
 			e.DataReceived = true
@@ -180,7 +155,7 @@ func (p *Arin) bindHandlers() {
 		m := a.(*arMsg)
 		addr, newOwner, stamp := m.r.addr, m.tile, m.stamp
 		home := p.ctx.HomeOf(addr)
-		ctx := p.ctx.At(home)
+		ctx := p.ctx
 		ctx.chargeVM(newOwner)
 		p.homeOwnerUpdate(ctx, home, addr, newOwner, stamp)
 		ctx.SendCtlArg(home, newOwner, p.coAckFn, m)
@@ -188,8 +163,8 @@ func (p *Arin) bindHandlers() {
 	p.coAckFn = func(a any) {
 		m := a.(*arMsg)
 		requestor, addr := m.tile, m.r.addr
-		p.putMsg(requestor, m)
-		ctx := p.ctx.At(requestor)
+		p.putMsg(m)
+		ctx := p.ctx
 		ctx.chargeVM(requestor)
 		if e, ok := p.tiles[requestor].mshr.Lookup(addr); ok {
 			e.HomeAck--
@@ -199,16 +174,15 @@ func (p *Arin) bindHandlers() {
 	// Memory fetch pipeline.
 	p.memReqFn = func(a any) {
 		m := a.(*arMsg)
-		ctx := p.ctx.At(p.ctx.Mem.For(m.r.addr))
+		ctx := p.ctx
 		ctx.MemFetch(p.memRespFn, m)
 	}
 	p.memRespFn = func(a any) {
 		m := a.(*arMsg)
 		mc := p.ctx.Mem.For(m.r.addr)
-		ctx := p.ctx.At(mc)
+		ctx := p.ctx
 		ctx.chargeVM(m.r.requestor)
 		home := ctx.HomeOf(m.r.addr)
-		p.cen.memResp.Touch(int(mc), int(mc))
 		d2 := ctx.SendDataArg(mc, home, p.memFillFn, m)
 		m.r.links += int16(d2.Hops)
 	}
@@ -216,8 +190,8 @@ func (p *Arin) bindHandlers() {
 		m := a.(*arMsg)
 		r := m.r
 		home := p.ctx.HomeOf(r.addr)
-		p.putMsg(home, m)
-		ctx := p.ctx.At(home)
+		p.putMsg(m)
+		ctx := p.ctx
 		ctx.chargeVM(r.requestor)
 		state, dirty := arOwnerExclusive, false
 		if r.write {
@@ -226,7 +200,7 @@ func (p *Arin) bindHandlers() {
 		p.deliver(ctx, r, home, state, dirty, -1)
 	}
 	// flushFn runs at the memory controller tile boxed in the argument.
-	p.flushFn = func(a any) { p.ctx.At(a.(topo.Tile)).MemFlush() }
+	p.flushFn = func(a any) { p.ctx.MemFlush() }
 }
 
 // NewArin builds the DiCo-Arin engine on ctx.
@@ -240,26 +214,8 @@ func NewArin(ctx *Context) *Arin {
 	p := &Arin{
 		ctx:   ctx,
 		tiles: make([]*tileState, n),
-		free:  make([]*arMsg, n),
 	}
 	p.bindHandlers()
-	p.cen = arCensus{
-		l1Class:        ctx.CensusSite("arin", "atL1.set-class", "mshr"),
-		l1FwdHome:      ctx.CensusSite("arin", "atL1.fwd-home", "mshr"),
-		dissolveClass:  ctx.CensusSite("arin", "dissolveOwnership.set-class", "mshr"),
-		ownerWClass:    ctx.CensusSite("arin", "ownerWriteSupply.set-class", "mshr"),
-		ownerWAcks:     ctx.CensusSite("arin", "ownerWriteSupply.acks", "mshr"),
-		homeFwd:        ctx.CensusSite("arin", "atHome.fwd-owner", "mshr"),
-		homeMemFetch:   ctx.CensusSite("arin", "atHome.mem-fetch", "mshr"),
-		homeInterClass: ctx.CensusSite("arin", "homeInter.set-class", "mshr"),
-		homeOwnedClass: ctx.CensusSite("arin", "homeOwned.set-class", "mshr"),
-		homeOwnedAcks:  ctx.CensusSite("arin", "homeOwned.acks", "mshr"),
-		bcastClass:     ctx.CensusSite("arin", "broadcastInv.set-class", "mshr"),
-		bcastAcks:      ctx.CensusSite("arin", "broadcastInv.acks", "mshr"),
-		deliver:        ctx.CensusSite("arin", "deliver", "mshr"),
-		memResp:        ctx.CensusSite("arin", "memResp", "mshr"),
-		recallScan:     ctx.CensusSite("arin", "recallOwnership.owner-scan", "l1"),
-	}
 	for i := range p.tiles {
 		p.tiles[i] = newTileState(ctx.Cfg, ctx.BankShift())
 	}
@@ -298,7 +254,7 @@ type arReq struct {
 
 // Access implements Engine.
 func (p *Arin) Access(tile topo.Tile, addr cache.Addr, write bool, onDone func()) {
-	ctx := p.ctx.At(tile)
+	ctx := p.ctx
 	ctx.chargeVM(tile)
 	t := p.tiles[tile]
 	if _, pending := t.mshr.Lookup(addr); pending {
@@ -345,7 +301,7 @@ func (p *Arin) Access(tile topo.Tile, addr cache.Addr, write bool, onDone func()
 		e.Tag = int(MissPredFail)
 		ctx.spanEvent("predict-supplier", tile)
 		pred := topo.Tile(ptr)
-		m := p.msg(tile, r)
+		m := p.msg(r)
 		m.tile = pred
 		del := ctx.SendCtlArg(tile, pred, p.atL1Fn, m)
 		e.Links += del.Hops
@@ -353,14 +309,14 @@ func (p *Arin) Access(tile topo.Tile, addr cache.Addr, write bool, onDone func()
 	}
 	e.Tag = int(MissUnpredHome)
 	home := ctx.HomeOf(addr)
-	del := ctx.SendCtlArg(tile, home, p.atHomeFn, p.msg(tile, r))
+	del := ctx.SendCtlArg(tile, home, p.atHomeFn, p.msg(r))
 	e.Links += del.Hops
 }
 
 // ownerWriteHit: an intra-area owner invalidates its sharers locally,
 // exactly like DiCo.
 func (p *Arin) ownerWriteHit(tile topo.Tile, addr cache.Addr, line *cache.Line, onDone func()) {
-	ctx := p.ctx.At(tile)
+	ctx := p.ctx
 	t := p.tiles[tile]
 	area := p.areaOf(tile)
 	sharers := line.Sharers &^ areaBit(ctx.Areas, tile)
@@ -382,7 +338,7 @@ func (p *Arin) ownerWriteHit(tile topo.Tile, addr cache.Addr, line *cache.Line, 
 	e.SharerAcks = popcount(sharers)
 	for v := sharers; v != 0; v &= v - 1 {
 		sharer := p.tileAt(area, int8(bits.TrailingZeros64(v)))
-		m := p.msg(tile, arReq{addr: addr, requestor: tile})
+		m := p.msg(arReq{addr: addr, requestor: tile})
 		m.tile = sharer
 		ctx.SendCtlArg(tile, sharer, p.invalShFn, m)
 	}
@@ -404,26 +360,26 @@ func (p *Arin) invalidateSharer(ctx *Context, tile topo.Tile, addr cache.Addr, r
 	}
 	t.l1c.Update(addr, int16(requestor))
 	ctx.pw.L1CUpdate.Inc()
-	m := p.msg(tile, arReq{addr: addr})
+	m := p.msg(arReq{addr: addr})
 	m.tile = requestor
 	ctx.SendCtlArg(tile, requestor, p.shAckFn, m)
 }
 
 // atL1 handles a request at an L1 cache.
 func (p *Arin) atL1(r arReq, tile topo.Tile) {
-	ctx := p.ctx.At(tile)
+	ctx := p.ctx
 	ctx.chargeVM(r.requestor)
 	t := p.tiles[tile]
 	if _, pending := t.mshr.Lookup(r.addr); pending {
 		// Pooled-arg stalls: a closure here would capture r and force
 		// it to the heap on every atL1 call, not just the stalled ones.
-		m := p.msg(tile, r)
+		m := p.msg(r)
 		m.tile = tile
 		t.stallL1Arg(r.addr, p.atL1Fn, m)
 		return
 	}
 	if t.blocked(r.addr) {
-		m := p.msg(tile, r)
+		m := p.msg(r)
 		m.tile = tile
 		t.stallL1Arg(r.addr, p.atL1Fn, m)
 		return
@@ -438,7 +394,6 @@ func (p *Arin) atL1(r arReq, tile topo.Tile) {
 		}
 		if p.areaOf(r.requestor) == p.areaOf(tile) {
 			// Local read: plain DiCo behaviour.
-			p.cen.l1Class.Touch(int(tile), int(tile))
 			p.classifyMiss(&r, byOwner)
 			line.Sharers |= areaBit(ctx.Areas, r.requestor)
 			if line.State != arOwnerShared {
@@ -457,7 +412,6 @@ func (p *Arin) atL1(r arReq, tile topo.Tile) {
 		}
 		// A provider supplies inside its area; the new copy is a
 		// provider too (Section IV-B's optimization).
-		p.cen.l1Class.Touch(int(tile), int(tile))
 		p.classifyMiss(&r, byProvider)
 		ctx.pw.L1DataRead.Inc()
 		p.deliver(ctx, r, tile, arProvider, false, int16(tile))
@@ -467,9 +421,8 @@ func (p *Arin) atL1(r arReq, tile topo.Tile) {
 		r.forwards++
 		r.forwarder = tile
 		home := ctx.HomeOf(r.addr)
-		m := p.msg(tile, r)
+		m := p.msg(r)
 		del := ctx.SendCtlArg(tile, home, p.atHomeFn, m)
-		p.cen.l1FwdHome.Touch(int(tile), int(tile))
 		m.r.links += int16(del.Hops)
 	}
 }
@@ -482,7 +435,6 @@ func (p *Arin) dissolveOwnership(ctx *Context, r arReq, owner topo.Tile, line *c
 	if ctx.tracing(r.addr) {
 		ctx.Trace(r.addr, "dissolve at owner %d for %d", owner, r.requestor)
 	}
-	p.cen.dissolveClass.Touch(int(owner), int(owner))
 	p.classifyMiss(&r, byOwner)
 	ownerArea := p.areaOf(owner)
 	dirty := line.Dirty
@@ -496,7 +448,7 @@ func (p *Arin) dissolveOwnership(ctx *Context, r arReq, owner topo.Tile, line *c
 	home := ctx.HomeOf(r.addr)
 	reqArea := p.areaOf(r.requestor)
 	ctx.SendData(owner, home, func() {
-		hctx := p.ctx.At(home)
+		hctx := p.ctx
 		p.tiles[home].setStamp(r.addr, hctx.Kernel.Now())
 		var propos [cache.MaxSimAreas]int8
 		for a := range propos {
@@ -516,7 +468,6 @@ func (p *Arin) dissolveOwnership(ctx *Context, r arReq, owner topo.Tile, line *c
 
 // ownerWriteSupply: intra-area ownership transfer, as in DiCo.
 func (p *Arin) ownerWriteSupply(ctx *Context, r arReq, owner topo.Tile, line *cache.Line) {
-	p.cen.ownerWClass.Touch(int(owner), int(owner))
 	p.classifyMiss(&r, byOwner)
 	area := p.areaOf(owner)
 	sharers := line.Sharers &^ areaBit(ctx.Areas, owner)
@@ -526,12 +477,11 @@ func (p *Arin) ownerWriteSupply(ctx *Context, r arReq, owner topo.Tile, line *ca
 	// The ack expectations ride to the requestor with the data; an ack
 	// arriving first drives its MSHR counter transiently negative,
 	// which Done() tolerates.
-	p.cen.ownerWAcks.Touch(int(owner), int(owner))
 	r.acks += int16(popcount(sharers))
 	r.homeAck++
 	for v := sharers; v != 0; v &= v - 1 {
 		sharer := p.tileAt(area, int8(bits.TrailingZeros64(v)))
-		m := p.msg(owner, arReq{addr: r.addr, requestor: r.requestor})
+		m := p.msg(arReq{addr: r.addr, requestor: r.requestor})
 		m.tile = sharer
 		ctx.SendCtlArg(owner, sharer, p.invalShFn, m)
 	}
@@ -542,7 +492,7 @@ func (p *Arin) ownerWriteSupply(ctx *Context, r arReq, owner topo.Tile, line *ca
 	ctx.pw.L1CUpdate.Inc()
 	p.deliver(ctx, r, owner, arOwnerModified, true, -1)
 	home := ctx.HomeOf(r.addr)
-	m := p.msg(owner, arReq{addr: r.addr})
+	m := p.msg(arReq{addr: r.addr})
 	m.tile = r.requestor
 	m.stamp = ctx.Kernel.Now()
 	ctx.SendCtlArg(owner, home, p.coFn, m) // Change_Owner
@@ -551,11 +501,11 @@ func (p *Arin) ownerWriteSupply(ctx *Context, r arReq, owner topo.Tile, line *ca
 // atHome dispatches at the home bank.
 func (p *Arin) atHome(r arReq) {
 	home := p.ctx.HomeOf(r.addr)
-	ctx := p.ctx.At(home)
+	ctx := p.ctx
 	ctx.chargeVM(r.requestor)
 	th := p.tiles[home]
 	if th.homeBusy(r.addr) || th.recallMarked(r.addr) {
-		th.stallHomeArg(r.addr, p.atHomeFn, p.msg(home, r))
+		th.stallHomeArg(r.addr, p.atHomeFn, p.msg(r))
 		return
 	}
 	ctx.pw.L2TagRead.Inc()
@@ -569,15 +519,14 @@ func (p *Arin) atHome(r arReq) {
 			nr := r
 			nr.forwards = 0
 			nr.forwarder = -1
-			ctx.Kernel.AfterArg(retryBackoff, p.atHomeFn, p.msg(home, nr))
+			ctx.Kernel.AfterArg(retryBackoff, p.atHomeFn, p.msg(nr))
 			return
 		}
 		r.forwards++
 		ctx.spanEvent("home-forward-owner", home)
-		m := p.msg(home, r)
+		m := p.msg(r)
 		m.tile = ownerTile
 		del := ctx.SendCtlArg(home, ownerTile, p.atL1Fn, m)
-		p.cen.homeFwd.Touch(int(home), int(home))
 		m.r.links += int16(del.Hops)
 		return
 	}
@@ -594,9 +543,8 @@ func (p *Arin) atHome(r arReq) {
 		// latency -> data pipeline (memReqFn/memRespFn/memFillFn).
 		p.updateL2C(ctx, home, r.addr, r.requestor)
 		mc := ctx.Mem.For(r.addr)
-		m := p.msg(home, r)
+		m := p.msg(r)
 		del := ctx.SendCtlArg(home, mc, p.memReqFn, m)
-		p.cen.homeMemFetch.Touch(int(home), int(home))
 		m.r.links += int16(del.Hops)
 		return
 	}
@@ -632,7 +580,6 @@ func (p *Arin) homeInter(ctx *Context, r arReq, home topo.Tile, l2line *cache.Li
 			ctx.pw.L2TagWrite.Inc()
 		}
 	}
-	p.cen.homeInterClass.Touch(int(home), int(home))
 	p.classifyMiss(&r, byHome)
 	ctx.pw.L2DataRead.Inc()
 	// The reply carries the identity of the area's provider so the
@@ -663,7 +610,6 @@ func (p *Arin) homeOwned(ctx *Context, r arReq, home topo.Tile, l2line *cache.Li
 		// L2-owner write: invalidate the tracked sharers, transfer
 		// ownership to the writer. The ack expectations ride on the
 		// data message.
-		p.cen.homeOwnedClass.Touch(int(home), int(home))
 		p.classifyMiss(&r, byHome)
 		var sharers uint64
 		area := int(l2line.AreaTag)
@@ -673,11 +619,10 @@ func (p *Arin) homeOwned(ctx *Context, r arReq, home topo.Tile, l2line *cache.Li
 				sharers &^= areaBit(ctx.Areas, r.requestor)
 			}
 		}
-		p.cen.homeOwnedAcks.Touch(int(home), int(home))
 		r.acks += int16(popcount(sharers))
 		for v := sharers; v != 0; v &= v - 1 {
 			sharer := p.tileAt(area, int8(bits.TrailingZeros64(v)))
-			m := p.msg(home, arReq{addr: r.addr, requestor: r.requestor})
+			m := p.msg(arReq{addr: r.addr, requestor: r.requestor})
 			m.tile = sharer
 			ctx.SendCtlArg(home, sharer, p.invalShFn, m)
 		}
@@ -690,7 +635,6 @@ func (p *Arin) homeOwned(ctx *Context, r arReq, home topo.Tile, l2line *cache.Li
 	}
 	// Read with the L2 as owner.
 	if int(l2line.AreaTag) == reqArea || l2line.AreaTag < 0 {
-		p.cen.homeOwnedClass.Touch(int(home), int(home))
 		p.classifyMiss(&r, byHome)
 		if l2line.AreaTag < 0 {
 			l2line.AreaTag = int8(reqArea)
@@ -704,7 +648,6 @@ func (p *Arin) homeOwned(ctx *Context, r arReq, home topo.Tile, l2line *cache.Li
 	// A second area starts reading: the block becomes shared between
 	// areas. The previously tracked sharers silently become
 	// broadcast-covered copies.
-	p.cen.homeOwnedClass.Touch(int(home), int(home))
 	p.classifyMiss(&r, byHome)
 	l2line.State = l2ArinInter
 	for a := range l2line.ProPos {
@@ -727,7 +670,6 @@ func (p *Arin) broadcastInvalidation(ctx *Context, r arReq, home topo.Tile, l2li
 		ctx.Trace(r.addr, "broadcast inv from home %d for writer %d", home, r.requestor)
 	}
 	th := p.tiles[home]
-	p.cen.bcastClass.Touch(int(home), int(home))
 	p.classifyMiss(&r, byHome)
 	th.setHomeBusy(r.addr)
 	th.l2.Invalidate(r.addr)
@@ -741,11 +683,10 @@ func (p *Arin) broadcastInvalidation(ctx *Context, r arReq, home topo.Tile, l2li
 	}
 	// The ack expectations and the unblock gate ride to the requestor
 	// with the data; early acks drive the counter transiently negative.
-	p.cen.bcastAcks.Touch(int(home), int(home))
 	r.acks += int16(expected)
 	r.homeAck++ // released when the unblock phase finishes
 	deliverInv := func(dst topo.Tile) {
-		dctx := p.ctx.At(dst)
+		dctx := p.ctx
 		t := p.tiles[dst]
 		dctx.chargeVM(r.requestor)
 		dctx.pw.L1TagRead.Inc()
@@ -762,7 +703,7 @@ func (p *Arin) broadcastInvalidation(ctx *Context, r arReq, home topo.Tile, l2li
 		}
 		t.setBlocked(r.addr)
 		dctx.SendCtl(dst, r.requestor, func() {
-			rctx := p.ctx.At(r.requestor)
+			rctx := p.ctx
 			if e, ok := p.tiles[r.requestor].mshr.Lookup(r.addr); ok {
 				e.SharerAcks--
 				if e.SharerAcks == 0 && e.DataReceived {
@@ -791,7 +732,7 @@ func (p *Arin) broadcastInvalidation(ctx *Context, r arReq, home topo.Tile, l2li
 
 // unblockAfterWrite is phase three: the requestor broadcasts the
 // unblock, every L1 resumes, and the home releases the block. It runs
-// on the requestor's lane (from the delivery or the last ack).
+// at the requestor (from the delivery or the last ack).
 func (p *Arin) unblockAfterWrite(ctx *Context, r arReq) {
 	home := ctx.HomeOf(r.addr)
 	e, ok := p.tiles[r.requestor].mshr.Lookup(r.addr)
@@ -799,7 +740,7 @@ func (p *Arin) unblockAfterWrite(ctx *Context, r arReq) {
 		return // already unblocked
 	}
 	deliverUnblock := func(dst topo.Tile) {
-		dctx := p.ctx.At(dst)
+		dctx := p.ctx
 		t := p.tiles[dst]
 		if t.blocked(r.addr) {
 			t.clearBlocked(r.addr)
@@ -836,14 +777,14 @@ func (p *Arin) evictL2Inter(ctx *Context, home topo.Tile, victim cache.Line, the
 	th := p.tiles[home]
 	victimAddr := victim.Addr
 	th.setHomeBusy(victimAddr)
-	// pending lives at the home; the ack sends below run on the home's
-	// lane, so every mutation is single-lane.
+	// pending lives at the home; the ack sends below run there, so
+	// every mutation is home-local.
 	pending := ctx.NumTiles() - 1
 	finishAcks := func() {
-		hctx := p.ctx.At(home)
+		hctx := p.ctx
 		// Phase three: home broadcasts the unblock.
 		deliverUnblock := func(dst topo.Tile) {
-			dctx := p.ctx.At(dst)
+			dctx := p.ctx
 			t := p.tiles[dst]
 			if t.blocked(victimAddr) {
 				t.clearBlocked(victimAddr)
@@ -864,7 +805,7 @@ func (p *Arin) evictL2Inter(ctx *Context, home topo.Tile, victim cache.Line, the
 		then()
 	}
 	deliverInv := func(dst topo.Tile) {
-		dctx := p.ctx.At(dst)
+		dctx := p.ctx
 		t := p.tiles[dst]
 		dctx.pw.L1TagRead.Inc()
 		if _, ok := t.l1.Invalidate(victimAddr); ok {
@@ -897,10 +838,10 @@ func (p *Arin) evictL2Inter(ctx *Context, home topo.Tile, victim cache.Line, the
 	}
 }
 
-// deliver sends the block to the requestor and completes on arrival;
-// the census touch happens on the requestor's lane in deliverFn.
+// deliver sends the block to the requestor and completes on arrival
+// (in deliverFn).
 func (p *Arin) deliver(ctx *Context, r arReq, from topo.Tile, state cache.State, dirty bool, supplier int16) {
-	m := p.msg(from, r)
+	m := p.msg(r)
 	m.state, m.dirty, m.supplier, m.bcast = state, dirty, supplier, false
 	del := ctx.SendDataArg(from, r.requestor, p.deliverFn, m)
 	m.r.links += int16(del.Hops)
@@ -910,7 +851,7 @@ func (p *Arin) deliver(ctx *Context, r arReq, from topo.Tile, state cache.State,
 // delivery additionally checks whether every ack already arrived and,
 // if so, runs the unblock phase.
 func (p *Arin) deliverBcast(ctx *Context, r arReq, from topo.Tile) {
-	m := p.msg(from, r)
+	m := p.msg(r)
 	m.state, m.dirty, m.supplier, m.bcast = arOwnerModified, true, -1, true
 	del := ctx.SendDataArg(from, r.requestor, p.deliverFn, m)
 	m.r.links += int16(del.Hops)
@@ -979,7 +920,7 @@ func (p *Arin) evictL1(ctx *Context, tile topo.Tile, victim cache.Line) {
 // transferOwnership passes ownership to a sharer in the owner's area.
 // The data rides the offer chain, so when every candidate declines it
 // writes back from wherever the chain ends — each send's source is the
-// tile whose lane is executing.
+// executing tile.
 func (p *Arin) transferOwnership(ctx *Context, from topo.Tile, addr cache.Addr, area int,
 	tryList, vector uint64, dirty bool) {
 	idx := int8(-1)
@@ -995,7 +936,7 @@ func (p *Arin) transferOwnership(ctx *Context, from topo.Tile, addr cache.Addr, 
 	target := p.tileAt(area, idx)
 	rest := tryList &^ (uint64(1) << uint(idx))
 	ctx.SendCtl(from, target, func() {
-		tctx := p.ctx.At(target)
+		tctx := p.ctx
 		t := p.tiles[target]
 		if _, pending := t.mshr.Lookup(addr); pending {
 			// Skip (never stall behind) a candidate with a miss in
@@ -1018,14 +959,14 @@ func (p *Arin) transferOwnership(ctx *Context, from topo.Tile, addr cache.Addr, 
 		home := tctx.HomeOf(addr)
 		stamp := tctx.Kernel.Now()
 		tctx.SendCtl(target, home, func() {
-			hctx := p.ctx.At(home)
+			hctx := p.ctx
 			p.homeOwnerUpdate(hctx, home, addr, target, stamp)
 			hctx.SendCtl(home, target, func() {}) // ack
 		})
 		forEachBit(vector&^(uint64(1)<<uint(idx)), func(i int) {
 			sharer := p.tileAt(area, int8(i))
 			tctx.SendCtl(target, sharer, func() {
-				sctx := p.ctx.At(sharer)
+				sctx := p.ctx
 				st := p.tiles[sharer]
 				if l := st.l1.Peek(addr); l != nil && l.State == arShared {
 					l.Owner = int16(target)
@@ -1049,7 +990,7 @@ func (p *Arin) writebackToHome(ctx *Context, tile topo.Tile, addr cache.Addr, di
 	}
 	ctx.pw.L1DataRead.Inc()
 	ctx.SendData(tile, home, func() {
-		hctx := p.ctx.At(home)
+		hctx := p.ctx
 		p.tiles[home].setStamp(addr, hctx.Kernel.Now())
 		p.insertL2Owned(hctx, home, addr, dirty, areaTag, leftover, func() {
 			if p.tiles[home].l2c.Invalidate(addr) {
@@ -1096,12 +1037,11 @@ func (p *Arin) recallOwnership(ctx *Context, home topo.Tile, addr cache.Addr, ow
 		ctx.Trace(addr, "recall issued from home %d", home)
 	}
 	p.tiles[home].markRecall(addr)
-	p.cen.recallScan.Touch(int(home), int(home))
 	ctx.SendCtl(home, owner, func() { p.relinquish(home, owner, addr) })
 }
 
 func (p *Arin) relinquish(home, owner topo.Tile, addr cache.Addr) {
-	ctx := p.ctx.At(owner)
+	ctx := p.ctx
 	if ctx.tracing(addr) {
 		ctx.Trace(addr, "relinquish at %d", owner)
 	}
@@ -1130,7 +1070,7 @@ func (p *Arin) relinquish(home, owner topo.Tile, addr cache.Addr) {
 	ctx.pw.L1TagWrite.Inc()
 	ctx.pw.L1DataRead.Inc()
 	ctx.SendData(owner, home, func() {
-		hctx := p.ctx.At(home)
+		hctx := p.ctx
 		p.tiles[home].setStamp(addr, hctx.Kernel.Now())
 		p.insertL2Owned(hctx, home, addr, dirty, int8(area), sharers, func() {
 			if p.tiles[home].l2c.Invalidate(addr) {
@@ -1210,8 +1150,8 @@ func (p *Arin) insertL2(ctx *Context, home topo.Tile, addr cache.Addr, dirty boo
 
 // evictL2OwnedVictim invalidates an owner-form victim's tracked
 // sharers (a single area: cheap unicasts), then proceeds. The pending
-// counter is touched only on the home tile's lane: every ack closure
-// executes there.
+// counter is touched only at the home tile: every ack closure executes
+// there.
 func (p *Arin) evictL2OwnedVictim(ctx *Context, home topo.Tile, victim cache.Line, then func()) {
 	if ctx.tracing(victim.Addr) {
 		ctx.Trace(victim.Addr, "L2 owned eviction at %d sharers=%#x", home, victim.Sharers)
@@ -1226,7 +1166,7 @@ func (p *Arin) evictL2OwnedVictim(ctx *Context, home topo.Tile, victim cache.Lin
 		pending = popcount(sharers)
 	}
 	finish := func() {
-		hctx := p.ctx.At(home)
+		hctx := p.ctx
 		if victim.Dirty {
 			mc := hctx.Mem.For(victimAddr)
 			hctx.SendDataArg(home, mc, p.flushFn, mc)
@@ -1242,7 +1182,7 @@ func (p *Arin) evictL2OwnedVictim(ctx *Context, home topo.Tile, victim cache.Lin
 	forEachBit(sharers, func(i int) {
 		sharer := p.tileAt(area, int8(i))
 		ctx.SendCtl(home, sharer, func() {
-			sctx := p.ctx.At(sharer)
+			sctx := p.ctx
 			t := p.tiles[sharer]
 			sctx.pw.L1TagRead.Inc()
 			if _, ok := t.l1.Invalidate(victimAddr); ok {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
 	"repro/internal/topo"
 )
 
@@ -49,30 +48,12 @@ type DiCo struct {
 	wbFn      func(any)
 	flushFn   func(any)
 
-	// free holds one message pool per tile, indexed by the executing
-	// tile (see Directory.free).
-	free []*dcMsg
-
-	cen dcCensus
+	free *dcMsg // message node free list
 
 	// Recall marks and the Change_Owner ordering stamps live in the
 	// home tile's transaction table (tileState.markRecall /
 	// stampIfNewer): the paper gates transfers on the home's ack; the
 	// stamp realizes the same ordering against reordered messages.
-}
-
-// dcCensus holds DiCo's registered touch sites. After messageization
-// every site records on the executing tile's diagonal (src == dst):
-// the former cross-tile requestor-MSHR pokes now ride the messages,
-// and the recall path reads the displaced pointer instead of scanning
-// every tile's L1. All sites are nil when the census is disarmed.
-type dcCensus struct {
-	l1PredFail, l1FwdHome, l1Class  *telemetry.TouchSite
-	ownerClass, ownerAcks           *telemetry.TouchSite
-	homeFwd, homeMemFetch           *telemetry.TouchSite
-	homeSupplyClass, homeSupplyAcks *telemetry.TouchSite
-	deliver, memResp                *telemetry.TouchSite
-	recallScan                      *telemetry.TouchSite
 }
 
 // dcMsg is DiCo's pooled argument node for the non-capturing message
@@ -88,13 +69,11 @@ type dcMsg struct {
 	vec      uint64   // sharer vector (writeback)
 }
 
-// msg takes a node from the executing lane's pool; at must be the
-// tile whose lane is running the caller.
-func (p *DiCo) msg(at topo.Tile, r dcReq) *dcMsg {
-	lane := p.ctx.Lane(at)
-	m := p.free[lane]
+// msg takes a node from the pool.
+func (p *DiCo) msg(r dcReq) *dcMsg {
+	m := p.free
 	if m != nil {
-		p.free[lane] = m.next
+		p.free = m.next
 	} else {
 		m = &dcMsg{}
 	}
@@ -102,11 +81,10 @@ func (p *DiCo) msg(at topo.Tile, r dcReq) *dcMsg {
 	return m
 }
 
-// putMsg recycles a node into the executing lane's pool.
-func (p *DiCo) putMsg(at topo.Tile, m *dcMsg) {
-	lane := p.ctx.Lane(at)
-	m.next = p.free[lane]
-	p.free[lane] = m
+// putMsg recycles a node into the pool.
+func (p *DiCo) putMsg(m *dcMsg) {
+	m.next = p.free
+	p.free = m
 }
 
 // bindHandlers builds the long-lived adapter funcs once.
@@ -114,28 +92,28 @@ func (p *DiCo) bindHandlers() {
 	p.atHomeFn = func(a any) {
 		m := a.(*dcMsg)
 		r := m.r
-		p.putMsg(p.ctx.HomeOf(r.addr), m)
+		p.putMsg(m)
 		p.atHome(r)
 	}
 	p.atL1Fn = func(a any) {
 		m := a.(*dcMsg)
 		r, tile := m.r, m.tile
-		p.putMsg(tile, m)
+		p.putMsg(m)
 		p.atL1(r, tile)
 	}
 	p.invalFn = func(a any) {
 		m := a.(*dcMsg)
 		tile, addr, ackTo, newOwner := m.tile, m.r.addr, m.r.requestor, topo.Tile(m.supplier)
-		p.putMsg(tile, m)
-		ctx := p.ctx.At(tile)
+		p.putMsg(m)
+		ctx := p.ctx
 		ctx.chargeVM(ackTo)
 		p.invalidateAtL1(ctx, tile, addr, ackTo, newOwner)
 	}
 	p.ackFn = func(a any) {
 		m := a.(*dcMsg)
 		ackTo, addr := m.tile, m.r.addr
-		p.putMsg(ackTo, m)
-		ctx := p.ctx.At(ackTo)
+		p.putMsg(m)
+		ctx := p.ctx
 		ctx.chargeVM(ackTo)
 		e, ok := p.tiles[ackTo].mshr.Lookup(addr)
 		if !ok {
@@ -147,10 +125,9 @@ func (p *DiCo) bindHandlers() {
 	p.deliverFn = func(a any) {
 		m := a.(*dcMsg)
 		r, state, dirty, supplier := m.r, m.state, m.dirty, m.supplier
-		p.putMsg(r.requestor, m)
-		ctx := p.ctx.At(r.requestor)
+		p.putMsg(m)
+		ctx := p.ctx
 		ctx.chargeVM(r.requestor)
-		p.cen.deliver.Touch(int(r.requestor), int(r.requestor))
 		p.fillL1(ctx, r.requestor, r.addr, state, dirty, supplier)
 		if e, ok := p.tiles[r.requestor].mshr.Lookup(r.addr); ok {
 			e.DataReceived = true
@@ -169,7 +146,7 @@ func (p *DiCo) bindHandlers() {
 		m := a.(*dcMsg)
 		addr, newOwner, stamp := m.r.addr, m.tile, m.stamp
 		home := p.ctx.HomeOf(addr)
-		ctx := p.ctx.At(home)
+		ctx := p.ctx
 		ctx.chargeVM(newOwner)
 		p.homeOwnerUpdate(ctx, home, addr, newOwner, stamp)
 		ctx.SendCtlArg(home, newOwner, p.coAckFn, m)
@@ -177,8 +154,8 @@ func (p *DiCo) bindHandlers() {
 	p.coAckFn = func(a any) {
 		m := a.(*dcMsg)
 		requestor, addr := m.tile, m.r.addr
-		p.putMsg(requestor, m)
-		ctx := p.ctx.At(requestor)
+		p.putMsg(m)
+		ctx := p.ctx
 		ctx.chargeVM(requestor)
 		if e, ok := p.tiles[requestor].mshr.Lookup(addr); ok {
 			e.HomeAck--
@@ -189,16 +166,15 @@ func (p *DiCo) bindHandlers() {
 	// the block and its coherence information).
 	p.memReqFn = func(a any) {
 		m := a.(*dcMsg)
-		ctx := p.ctx.At(p.ctx.Mem.For(m.r.addr))
+		ctx := p.ctx
 		ctx.MemFetch(p.memRespFn, m)
 	}
 	p.memRespFn = func(a any) {
 		m := a.(*dcMsg)
 		mc := p.ctx.Mem.For(m.r.addr)
-		ctx := p.ctx.At(mc)
+		ctx := p.ctx
 		ctx.chargeVM(m.r.requestor)
 		home := ctx.HomeOf(m.r.addr)
-		p.cen.memResp.Touch(int(mc), int(mc))
 		d2 := ctx.SendDataArg(mc, home, p.memFillFn, m)
 		m.r.links += int16(d2.Hops)
 	}
@@ -206,8 +182,8 @@ func (p *DiCo) bindHandlers() {
 		m := a.(*dcMsg)
 		r := m.r
 		home := p.ctx.HomeOf(r.addr)
-		p.putMsg(home, m)
-		ctx := p.ctx.At(home)
+		p.putMsg(m)
+		ctx := p.ctx
 		ctx.chargeVM(r.requestor)
 		state, dirty := dcOwnerExclusive, false
 		if r.write {
@@ -221,8 +197,8 @@ func (p *DiCo) bindHandlers() {
 		m := a.(*dcMsg)
 		addr, dirty, sharers := m.r.addr, m.dirty, m.vec
 		home := p.ctx.HomeOf(addr)
-		p.putMsg(home, m)
-		ctx := p.ctx.At(home)
+		p.putMsg(m)
+		ctx := p.ctx
 		// Stamp the return of ownership so a Change_Owner that was
 		// sent earlier but arrives later cannot resurrect a stale
 		// pointer.
@@ -236,7 +212,7 @@ func (p *DiCo) bindHandlers() {
 		p.tiles[home].wakeHome(ctx.Kernel, addr)
 	}
 	// flushFn runs at the memory controller tile boxed in the argument.
-	p.flushFn = func(a any) { p.ctx.At(a.(topo.Tile)).MemFlush() }
+	p.flushFn = func(a any) { p.ctx.MemFlush() }
 }
 
 // NewDiCo builds the DiCo engine on ctx.
@@ -246,23 +222,8 @@ func NewDiCo(ctx *Context) *DiCo {
 	p := &DiCo{
 		ctx:   ctx,
 		tiles: make([]*tileState, n),
-		free:  make([]*dcMsg, n),
 	}
 	p.bindHandlers()
-	p.cen = dcCensus{
-		l1PredFail:      ctx.CensusSite("dico", "atL1.pred-fail", "mshr"),
-		l1FwdHome:       ctx.CensusSite("dico", "atL1.fwd-home", "mshr"),
-		l1Class:         ctx.CensusSite("dico", "atL1.set-class", "mshr"),
-		ownerClass:      ctx.CensusSite("dico", "ownerWriteSupply.set-class", "mshr"),
-		ownerAcks:       ctx.CensusSite("dico", "ownerWriteSupply.acks", "mshr"),
-		homeFwd:         ctx.CensusSite("dico", "atHome.fwd-owner", "mshr"),
-		homeMemFetch:    ctx.CensusSite("dico", "atHome.mem-fetch", "mshr"),
-		homeSupplyClass: ctx.CensusSite("dico", "homeOwnerSupply.set-class", "mshr"),
-		homeSupplyAcks:  ctx.CensusSite("dico", "homeOwnerSupply.acks", "mshr"),
-		deliver:         ctx.CensusSite("dico", "deliverData", "mshr"),
-		memResp:         ctx.CensusSite("dico", "memResp", "mshr"),
-		recallScan:      ctx.CensusSite("dico", "recallOwnership.owner-scan", "l1"),
-	}
 	for i := range p.tiles {
 		p.tiles[i] = newTileState(ctx.Cfg, ctx.BankShift())
 	}
@@ -294,7 +255,7 @@ type dcReq struct {
 
 // Access implements Engine.
 func (p *DiCo) Access(tile topo.Tile, addr cache.Addr, write bool, onDone func()) {
-	ctx := p.ctx.At(tile)
+	ctx := p.ctx
 	ctx.chargeVM(tile)
 	t := p.tiles[tile]
 	if _, pending := t.mshr.Lookup(addr); pending {
@@ -341,7 +302,7 @@ func (p *DiCo) Access(tile topo.Tile, addr cache.Addr, write bool, onDone func()
 		e.Tag = int(MissPredOwner)
 		ctx.spanEvent("predict-supplier", tile)
 		pred := topo.Tile(ptr)
-		m := p.msg(tile, r)
+		m := p.msg(r)
 		m.tile = pred
 		del := ctx.SendCtlArg(tile, pred, p.atL1Fn, m)
 		e.Links += del.Hops
@@ -349,14 +310,14 @@ func (p *DiCo) Access(tile topo.Tile, addr cache.Addr, write bool, onDone func()
 	}
 	e.Tag = int(MissUnpredHome)
 	home := ctx.HomeOf(addr)
-	del := ctx.SendCtlArg(tile, home, p.atHomeFn, p.msg(tile, r))
+	del := ctx.SendCtlArg(tile, home, p.atHomeFn, p.msg(r))
 	e.Links += del.Hops
 }
 
 // ownerWriteHit invalidates the sharers from the owner itself (no home
 // involvement) and upgrades the line to modified.
 func (p *DiCo) ownerWriteHit(tile topo.Tile, addr cache.Addr, line *cache.Line, onDone func()) {
-	ctx := p.ctx.At(tile)
+	ctx := p.ctx
 	t := p.tiles[tile]
 	sharers := line.Sharers &^ bit(tile)
 	if sharers == 0 {
@@ -378,7 +339,7 @@ func (p *DiCo) ownerWriteHit(tile topo.Tile, addr cache.Addr, line *cache.Line, 
 	e.SharerAcks = popcount(sharers)
 	for v := sharers; v != 0; v &= v - 1 {
 		sharer := topo.Tile(bits.TrailingZeros64(v))
-		m := p.msg(tile, dcReq{addr: addr, requestor: tile})
+		m := p.msg(dcReq{addr: addr, requestor: tile})
 		m.tile = sharer
 		m.supplier = int16(tile)
 		ctx.SendCtlArg(tile, sharer, p.invalFn, m)
@@ -393,13 +354,13 @@ func (p *DiCo) ownerWriteHit(tile topo.Tile, addr cache.Addr, line *cache.Line, 
 // atL1 handles a request arriving at an L1 (by prediction or forwarded
 // from the home).
 func (p *DiCo) atL1(r dcReq, tile topo.Tile) {
-	ctx := p.ctx.At(tile)
+	ctx := p.ctx
 	ctx.chargeVM(r.requestor)
 	t := p.tiles[tile]
 	if _, pending := t.mshr.Lookup(r.addr); pending {
 		// Pooled-arg stall: a closure here would capture r and force it
 		// to the heap on every atL1 call, not just the stalled ones.
-		m := p.msg(tile, r)
+		m := p.msg(r)
 		m.tile = tile
 		t.stallL1Arg(r.addr, p.atL1Fn, m)
 		return
@@ -409,14 +370,12 @@ func (p *DiCo) atL1(r dcReq, tile topo.Tile) {
 	if line == nil || !dcIsOwner(line.State) {
 		// Misprediction (or stale forward): to the home.
 		if r.predicted && r.forwards == 0 {
-			p.cen.l1PredFail.Touch(int(tile), int(tile))
 			r.clsPlus1 = int8(MissPredFail) + 1
 		}
 		r.forwards++
 		home := ctx.HomeOf(r.addr)
-		m := p.msg(tile, r)
+		m := p.msg(r)
 		del := ctx.SendCtlArg(tile, home, p.atHomeFn, m)
-		p.cen.l1FwdHome.Touch(int(tile), int(tile))
 		m.r.links += int16(del.Hops)
 		return
 	}
@@ -427,10 +386,8 @@ func (p *DiCo) atL1(r dcReq, tile topo.Tile) {
 	// Owner read supply: requestor becomes a sharer; two-hop miss when
 	// predicted.
 	if r.predicted && r.forwards == 0 {
-		p.cen.l1Class.Touch(int(tile), int(tile))
 		r.clsPlus1 = int8(MissPredOwner) + 1
 	} else if !r.predicted {
-		p.cen.l1Class.Touch(int(tile), int(tile))
 		r.clsPlus1 = int8(MissUnpredOwner) + 1
 	}
 	if ctx.tracing(r.addr) {
@@ -450,10 +407,8 @@ func (p *DiCo) atL1(r dcReq, tile topo.Tile) {
 // home with Change_Owner (acked before the transfer is final).
 func (p *DiCo) ownerWriteSupply(ctx *Context, r dcReq, owner topo.Tile, line *cache.Line) {
 	if r.predicted && r.forwards == 0 {
-		p.cen.ownerClass.Touch(int(owner), int(owner))
 		r.clsPlus1 = int8(MissPredOwner) + 1
 	} else if !r.predicted {
-		p.cen.ownerClass.Touch(int(owner), int(owner))
 		r.clsPlus1 = int8(MissUnpredOwner) + 1
 	}
 	sharers := line.Sharers &^ bit(r.requestor) &^ bit(owner)
@@ -463,12 +418,11 @@ func (p *DiCo) ownerWriteSupply(ctx *Context, r dcReq, owner topo.Tile, line *ca
 	// The sharer-ack and Change_Owner-ack expectations ride to the
 	// requestor with the data; an ack arriving first drives its MSHR
 	// counter transiently negative, which Done() tolerates.
-	p.cen.ownerAcks.Touch(int(owner), int(owner))
 	r.acks += int16(popcount(sharers))
 	r.homeAck++
 	for v := sharers; v != 0; v &= v - 1 {
 		sharer := topo.Tile(bits.TrailingZeros64(v))
-		m := p.msg(owner, dcReq{addr: r.addr, requestor: r.requestor})
+		m := p.msg(dcReq{addr: r.addr, requestor: r.requestor})
 		m.tile = sharer
 		m.supplier = int16(r.requestor)
 		ctx.SendCtlArg(owner, sharer, p.invalFn, m)
@@ -481,7 +435,7 @@ func (p *DiCo) ownerWriteSupply(ctx *Context, r dcReq, owner topo.Tile, line *ca
 	ctx.pw.L1CUpdate.Inc()
 	p.deliverData(ctx, r, owner, dcOwnerModified, true, -1)
 	home := ctx.HomeOf(r.addr)
-	m := p.msg(owner, dcReq{addr: r.addr})
+	m := p.msg(dcReq{addr: r.addr})
 	m.tile = r.requestor
 	m.stamp = ctx.Kernel.Now()
 	ctx.SendCtlArg(owner, home, p.coFn, m) // Change_Owner (+ gating ack)
@@ -492,11 +446,11 @@ func (p *DiCo) ownerWriteSupply(ctx *Context, r dcReq, owner topo.Tile, line *ca
 // memory.
 func (p *DiCo) atHome(r dcReq) {
 	home := p.ctx.HomeOf(r.addr)
-	ctx := p.ctx.At(home)
+	ctx := p.ctx
 	ctx.chargeVM(r.requestor)
 	th := p.tiles[home]
 	if th.homeBusy(r.addr) || th.recallMarked(r.addr) {
-		th.stallHomeArg(r.addr, p.atHomeFn, p.msg(home, r))
+		th.stallHomeArg(r.addr, p.atHomeFn, p.msg(r))
 		return
 	}
 	ctx.pw.L2TagRead.Inc()
@@ -510,15 +464,14 @@ func (p *DiCo) atHome(r dcReq) {
 			ctx.spanRetry(r.requestor)
 			nr := r
 			nr.forwards = 0
-			ctx.Kernel.AfterArg(retryBackoff, p.atHomeFn, p.msg(home, nr))
+			ctx.Kernel.AfterArg(retryBackoff, p.atHomeFn, p.msg(nr))
 			return
 		}
 		r.forwards++
 		ctx.spanEvent("home-forward-owner", home)
-		m := p.msg(home, r)
+		m := p.msg(r)
 		m.tile = owner
 		del := ctx.SendCtlArg(home, owner, p.atL1Fn, m)
-		p.cen.homeFwd.Touch(int(home), int(home))
 		m.r.links += int16(del.Hops)
 		return
 	}
@@ -534,9 +487,8 @@ func (p *DiCo) atHome(r dcReq) {
 	// Not on chip: requestor becomes owner; memory supplies.
 	p.updateL2C(ctx, home, r.addr, r.requestor)
 	mc := ctx.Mem.For(r.addr)
-	m := p.msg(home, r)
+	m := p.msg(r)
 	del := ctx.SendCtlArg(home, mc, p.memReqFn, m)
-	p.cen.homeMemFetch.Touch(int(home), int(home))
 	m.r.links += int16(del.Hops)
 }
 
@@ -547,16 +499,14 @@ func (p *DiCo) homeOwnerSupply(ctx *Context, r dcReq, home topo.Tile, l2line *ca
 	}
 	th := p.tiles[home]
 	if !r.predicted || r.forwards > 0 {
-		p.cen.homeSupplyClass.Touch(int(home), int(home))
 		r.clsPlus1 = int8(MissUnpredHome) + 1
 	}
 	if r.write {
 		sharers := l2line.Sharers &^ bit(r.requestor)
-		p.cen.homeSupplyAcks.Touch(int(home), int(home))
 		r.acks += int16(popcount(sharers))
 		for v := sharers; v != 0; v &= v - 1 {
 			sharer := topo.Tile(bits.TrailingZeros64(v))
-			m := p.msg(home, dcReq{addr: r.addr, requestor: r.requestor})
+			m := p.msg(dcReq{addr: r.addr, requestor: r.requestor})
 			m.tile = sharer
 			m.supplier = int16(r.requestor)
 			ctx.SendCtlArg(home, sharer, p.invalFn, m)
@@ -591,7 +541,7 @@ func (p *DiCo) invalidateAtL1(ctx *Context, tile topo.Tile, addr cache.Addr, ack
 	}
 	t.l1c.Update(addr, int16(newOwner))
 	ctx.pw.L1CUpdate.Inc()
-	m := p.msg(tile, dcReq{addr: addr})
+	m := p.msg(dcReq{addr: addr})
 	m.tile = ackTo
 	ctx.SendCtlArg(tile, ackTo, p.ackFn, m)
 }
@@ -631,14 +581,13 @@ func (p *DiCo) updateL2C(ctx *Context, home topo.Tile, addr cache.Addr, owner to
 // relinquish handler's guards resolve it at the owner's tile.
 func (p *DiCo) recallOwnership(ctx *Context, home topo.Tile, addr cache.Addr, owner topo.Tile) {
 	p.tiles[home].markRecall(addr)
-	p.cen.recallScan.Touch(int(home), int(home))
 	ctx.SendCtl(home, owner, func() { p.relinquishOwnership(home, owner, addr) })
 }
 
 // relinquishOwnership moves ownership from an L1 back to the home L2.
 // The former owner stays on as a sharer.
 func (p *DiCo) relinquishOwnership(home, owner topo.Tile, addr cache.Addr) {
-	ctx := p.ctx.At(owner)
+	ctx := p.ctx
 	t := p.tiles[owner]
 	if _, pending := t.mshr.Lookup(addr); pending {
 		// The recalled grant has not filled yet: wait for it.
@@ -664,7 +613,7 @@ func (p *DiCo) relinquishOwnership(home, owner topo.Tile, addr cache.Addr) {
 	ctx.pw.L1TagWrite.Inc()
 	ctx.pw.L1DataRead.Inc()
 	ctx.SendData(owner, home, func() {
-		hctx := p.ctx.At(home)
+		hctx := p.ctx
 		p.tiles[home].setStamp(addr, hctx.Kernel.Now())
 		p.insertL2Owned(hctx, home, addr, dirty, sharers, func() {
 			p.tiles[home].clearRecall(addr)
@@ -677,7 +626,7 @@ func (p *DiCo) relinquishOwnership(home, owner topo.Tile, addr cache.Addr) {
 // accumulated MSHR updates in r. supplier (when >= 0) is retained as
 // the line's prediction hint.
 func (p *DiCo) deliverData(ctx *Context, r dcReq, from topo.Tile, state cache.State, dirty bool, supplier int16) {
-	m := p.msg(from, r)
+	m := p.msg(r)
 	m.state = state
 	m.dirty = dirty
 	m.supplier = supplier
@@ -755,7 +704,7 @@ func (p *DiCo) evictL1(ctx *Context, tile topo.Tile, victim cache.Line) {
 // settle — but stays in the vector so its eventual fill is covered by
 // the next owner's sharing code (a superset is always safe).
 func (p *DiCo) transferOwnership(from topo.Tile, addr cache.Addr, tryList, vector uint64, dirty bool) {
-	ctx := p.ctx.At(from)
+	ctx := p.ctx
 	target := topo.Tile(-1)
 	forEachBit(tryList, func(i int) {
 		if target < 0 {
@@ -768,7 +717,7 @@ func (p *DiCo) transferOwnership(from topo.Tile, addr cache.Addr, tryList, vecto
 	}
 	rest := tryList &^ bit(target)
 	ctx.SendCtl(from, target, func() {
-		tctx := p.ctx.At(target)
+		tctx := p.ctx
 		t := p.tiles[target]
 		if _, pending := t.mshr.Lookup(addr); pending {
 			p.transferOwnership(target, addr, rest, vector, dirty)
@@ -795,7 +744,7 @@ func (p *DiCo) transferOwnership(from topo.Tile, addr cache.Addr, tryList, vecto
 		home := tctx.HomeOf(addr)
 		stamp := tctx.Kernel.Now()
 		tctx.SendCtl(target, home, func() { // Change_Owner
-			hctx := p.ctx.At(home)
+			hctx := p.ctx
 			p.homeOwnerUpdate(hctx, home, addr, target, stamp)
 			hctx.SendCtl(home, target, func() {}) // ack (gating message)
 		})
@@ -803,7 +752,7 @@ func (p *DiCo) transferOwnership(from topo.Tile, addr cache.Addr, tryList, vecto
 		forEachBit(vector&^bit(target), func(i int) {
 			sharer := topo.Tile(i)
 			tctx.SendCtl(target, sharer, func() {
-				sctx := p.ctx.At(sharer)
+				sctx := p.ctx
 				st := p.tiles[sharer]
 				if l := st.l1.Peek(addr); l != nil && l.State == dcShared {
 					l.Owner = int16(target)
@@ -824,7 +773,7 @@ func (p *DiCo) writebackToHome(ctx *Context, tile topo.Tile, addr cache.Addr, di
 	}
 	home := ctx.HomeOf(addr)
 	ctx.pw.L1DataRead.Inc()
-	m := p.msg(tile, dcReq{addr: addr})
+	m := p.msg(dcReq{addr: addr})
 	m.dirty = dirty
 	m.vec = sharers
 	ctx.SendDataArg(tile, home, p.wbFn, m)
@@ -900,7 +849,7 @@ func (p *DiCo) evictL2Owned(ctx *Context, home topo.Tile, victim cache.Line, the
 	forEachBit(sharers, func(i int) {
 		sharer := topo.Tile(i)
 		ctx.SendCtl(home, sharer, func() {
-			sctx := p.ctx.At(sharer)
+			sctx := p.ctx
 			t := p.tiles[sharer]
 			sctx.pw.L1TagRead.Inc()
 			if _, ok := t.l1.Invalidate(victimAddr); ok {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
 	"repro/internal/topo"
 )
 
@@ -56,24 +55,8 @@ type Directory struct {
 	memFillFn     func(any)
 	flushFn       func(any)
 
-	// free holds one message pool per tile, indexed by the executing
-	// tile: senders take nodes from their own tile's list and delivery
-	// handlers recycle into theirs, so no list is ever touched by two
-	// lanes (an engine-global pool would race under RunParallel).
-	free []*dirMsg
+	free *dirMsg // message node free list
 
-	cen dirCensus
-}
-
-// dirCensus holds the engine's registered touch sites: every place a
-// directory handler synchronously pokes another tile's MSHR — the
-// cross-tile shortcuts that must become scheduled messages before the
-// engines can leave the hub lane (ROADMAP item 1). All sites are nil
-// when the census is disarmed.
-type dirCensus struct {
-	fwdOwner, fwdSharer, sharerAcks, fetchMem *telemetry.TouchSite
-	ownerBounce, ownerClass, sharerRetry      *telemetry.TouchSite
-	deliver, memResp                          *telemetry.TouchSite
 }
 
 // NewDirectory builds the directory engine on ctx.
@@ -82,20 +65,8 @@ func NewDirectory(ctx *Context) *Directory {
 	d := &Directory{
 		ctx:   ctx,
 		tiles: make([]*tileState, ctx.NumTiles()),
-		free:  make([]*dirMsg, ctx.NumTiles()),
 	}
 	d.bindHandlers()
-	d.cen = dirCensus{
-		fwdOwner:    ctx.CensusSite("directory", "atHome.fwd-owner", "mshr"),
-		fwdSharer:   ctx.CensusSite("directory", "homeRead.fwd-sharer", "mshr"),
-		sharerAcks:  ctx.CensusSite("directory", "homeWrite.sharer-acks", "mshr"),
-		fetchMem:    ctx.CensusSite("directory", "fetchFromMemory", "mshr"),
-		ownerBounce: ctx.CensusSite("directory", "atOwner.bounce", "mshr"),
-		ownerClass:  ctx.CensusSite("directory", "atOwner.set-class", "mshr"),
-		sharerRetry: ctx.CensusSite("directory", "atSharer.retry", "mshr"),
-		deliver:     ctx.CensusSite("directory", "deliverData", "mshr"),
-		memResp:     ctx.CensusSite("directory", "memResp", "mshr"),
-	}
 	for i := range d.tiles {
 		t := newTileState(ctx.Cfg, ctx.BankShift())
 		// Directory information lives with every L2 entry (a full-map
@@ -133,7 +104,7 @@ type dirReq struct {
 	// Ride-along MSHR bookkeeping: instead of the home/owner/sharer
 	// synchronously poking the requestor's MSHR as the transaction
 	// hops the chip, each leg accumulates its contribution here and
-	// the delivery handler applies it on the requestor's own lane.
+	// the delivery handler applies it at the requestor.
 	links    int16 // mesh links traversed by the request legs
 	acks     int16 // sharer acks the write must collect
 	clsPlus1 int8  // resolved MissClass + 1 (0 = not resolved yet)
@@ -160,13 +131,11 @@ type dirMsg struct {
 	stamp sim.Time // ownership-update stamp
 }
 
-// msg takes a node from the executing lane's pool; at must be the
-// tile whose lane is running the caller.
-func (d *Directory) msg(at topo.Tile, r dirReq) *dirMsg {
-	lane := d.ctx.Lane(at)
-	m := d.free[lane]
+// msg takes a node from the pool.
+func (d *Directory) msg(r dirReq) *dirMsg {
+	m := d.free
 	if m != nil {
-		d.free[lane] = m.next
+		d.free = m.next
 	} else {
 		m = &dirMsg{}
 	}
@@ -174,11 +143,10 @@ func (d *Directory) msg(at topo.Tile, r dirReq) *dirMsg {
 	return m
 }
 
-// putMsg recycles a node into the executing lane's pool.
-func (d *Directory) putMsg(at topo.Tile, m *dirMsg) {
-	lane := d.ctx.Lane(at)
-	m.next = d.free[lane]
-	d.free[lane] = m
+// putMsg recycles a node into the pool.
+func (d *Directory) putMsg(m *dirMsg) {
+	m.next = d.free
+	d.free = m
 }
 
 // bindHandlers builds the long-lived adapter funcs once; every
@@ -187,19 +155,19 @@ func (d *Directory) bindHandlers() {
 	d.atHomeFn = func(a any) {
 		m := a.(*dirMsg)
 		r := m.r
-		d.putMsg(d.ctx.HomeOf(r.addr), m)
+		d.putMsg(m)
 		d.atHome(r)
 	}
 	d.atOwnerFn = func(a any) {
 		m := a.(*dirMsg)
 		r, owner := m.r, m.tile
-		d.putMsg(owner, m)
+		d.putMsg(m)
 		d.atOwner(r, owner)
 	}
 	d.atSharerFn = func(a any) {
 		m := a.(*dirMsg)
 		r, sharer := m.r, m.tile
-		d.putMsg(sharer, m)
+		d.putMsg(m)
 		d.atSharerSupply(r, sharer)
 	}
 	// sharerRetryFn runs at the home after a forwarded read found the
@@ -209,8 +177,8 @@ func (d *Directory) bindHandlers() {
 		m := a.(*dirMsg)
 		r, sharer, stamp := m.r, m.tile, m.stamp
 		home := d.ctx.HomeOf(r.addr)
-		d.putMsg(home, m)
-		ctx := d.ctx.At(home)
+		d.putMsg(m)
+		ctx := d.ctx
 		ctx.chargeVM(r.requestor)
 		d.homeDirUpdate(ctx, home, r.addr, stamp, func(dl *cache.DirEntry) {
 			dl.Sharers &^= bit(sharer)
@@ -220,10 +188,9 @@ func (d *Directory) bindHandlers() {
 	d.deliverFn = func(a any) {
 		m := a.(*dirMsg)
 		r, state, dirty := m.r, m.state, m.dirty
-		d.putMsg(r.requestor, m)
-		ctx := d.ctx.At(r.requestor)
+		d.putMsg(m)
+		ctx := d.ctx
 		ctx.chargeVM(r.requestor)
-		d.cen.deliver.Touch(int(r.requestor), int(r.requestor))
 		d.fillL1(ctx, r.requestor, r.addr, state, dirty)
 		if e, ok := d.tiles[r.requestor].mshr.Lookup(r.addr); ok {
 			e.DataReceived = true
@@ -238,15 +205,15 @@ func (d *Directory) bindHandlers() {
 	d.invalFn = func(a any) {
 		m := a.(*dirMsg)
 		sharer, addr, requestor := m.tile, m.r.addr, m.r.requestor
-		d.putMsg(sharer, m)
-		d.ctx.At(sharer).chargeVM(requestor)
+		d.putMsg(m)
+		d.ctx.chargeVM(requestor)
 		d.invalidateAtL1(sharer, addr, requestor)
 	}
 	d.ackFn = func(a any) {
 		m := a.(*dirMsg)
 		requestor, addr := m.tile, m.r.addr
-		d.putMsg(requestor, m)
-		ctx := d.ctx.At(requestor)
+		d.putMsg(m)
+		ctx := d.ctx
 		ctx.chargeVM(requestor)
 		d.ackAtRequestor(ctx, requestor, addr)
 	}
@@ -256,8 +223,8 @@ func (d *Directory) bindHandlers() {
 		m := a.(*dirMsg)
 		addr, stamp, newOwner := m.r.addr, m.stamp, m.tile
 		home := d.ctx.HomeOf(addr)
-		d.putMsg(home, m)
-		ctx := d.ctx.At(home)
+		d.putMsg(m)
+		ctx := d.ctx
 		ctx.chargeVM(newOwner)
 		th := d.tiles[home]
 		if !th.stampIfNewer(addr, stamp) {
@@ -284,8 +251,8 @@ func (d *Directory) bindHandlers() {
 		m := a.(*dirMsg)
 		addr, stamp, owner, requestor, dirty := m.r.addr, m.stamp, m.tile, m.r.requestor, m.dirty
 		home := d.ctx.HomeOf(addr)
-		d.putMsg(home, m)
-		ctx := d.ctx.At(home)
+		d.putMsg(m)
+		ctx := d.ctx
 		ctx.chargeVM(requestor)
 		th := d.tiles[home]
 		if !th.stampIfNewer(addr, stamp) {
@@ -316,8 +283,8 @@ func (d *Directory) bindHandlers() {
 		m := a.(*dirMsg)
 		addr, stamp, tile, dirty := m.r.addr, m.stamp, m.tile, m.dirty
 		home := d.ctx.HomeOf(addr)
-		d.putMsg(home, m)
-		ctx := d.ctx.At(home)
+		d.putMsg(m)
+		ctx := d.ctx
 		ctx.chargeVM(tile)
 		th := d.tiles[home]
 		if !th.stampIfNewer(addr, stamp) {
@@ -346,7 +313,7 @@ func (d *Directory) bindHandlers() {
 	// data hop back through the home, fill + deliver.
 	d.memReqFn = func(a any) {
 		m := a.(*dirMsg)
-		ctx := d.ctx.At(d.ctx.Mem.For(m.r.addr))
+		ctx := d.ctx
 		ctx.MemFetch(d.memRespFn, m)
 	}
 	d.memRespFn = func(a any) {
@@ -355,10 +322,9 @@ func (d *Directory) bindHandlers() {
 		// copy of read data in the shared L2 (deduplicated data is
 		// stored once for all VMs), then forwards it on.
 		mc := d.ctx.Mem.For(m.r.addr)
-		ctx := d.ctx.At(mc)
+		ctx := d.ctx
 		ctx.chargeVM(m.r.requestor)
 		home := ctx.HomeOf(m.r.addr)
-		d.cen.memResp.Touch(int(mc), int(mc))
 		d2 := ctx.SendDataArg(mc, home, d.memFillFn, m)
 		m.r.links += int16(d2.Hops)
 	}
@@ -366,8 +332,8 @@ func (d *Directory) bindHandlers() {
 		m := a.(*dirMsg)
 		r := m.r
 		home := d.ctx.HomeOf(r.addr)
-		d.putMsg(home, m)
-		ctx := d.ctx.At(home)
+		d.putMsg(m)
+		ctx := d.ctx
 		ctx.chargeVM(r.requestor)
 		state, dirty := dirExclusive, false
 		if r.write {
@@ -379,12 +345,12 @@ func (d *Directory) bindHandlers() {
 		d.deliverData(ctx, r, home, state, dirty)
 	}
 	// flushFn runs at the memory controller tile boxed in the argument.
-	d.flushFn = func(a any) { d.ctx.At(a.(topo.Tile)).MemFlush() }
+	d.flushFn = func(a any) { d.ctx.MemFlush() }
 }
 
 // Access implements Engine.
 func (d *Directory) Access(tile topo.Tile, addr cache.Addr, write bool, onDone func()) {
-	ctx := d.ctx.At(tile)
+	ctx := d.ctx
 	ctx.chargeVM(tile)
 	t := d.tiles[tile]
 	if _, pending := t.mshr.Lookup(addr); pending {
@@ -418,18 +384,18 @@ func (d *Directory) Access(tile topo.Tile, addr cache.Addr, write bool, onDone f
 	e.Tag = int(MissUnpredHome)
 	ctx.spanBegin(tile, addr, write)
 	home := ctx.HomeOf(addr)
-	del := ctx.SendCtlArg(tile, home, d.atHomeFn, d.msg(tile, dirReq{addr: addr, requestor: tile, write: write}))
+	del := ctx.SendCtlArg(tile, home, d.atHomeFn, d.msg(dirReq{addr: addr, requestor: tile, write: write}))
 	e.Links += del.Hops
 }
 
 // atHome processes a request at the block's home bank.
 func (d *Directory) atHome(r dirReq) {
 	home := d.ctx.HomeOf(r.addr)
-	ctx := d.ctx.At(home)
+	ctx := d.ctx
 	ctx.chargeVM(r.requestor)
 	th := d.tiles[home]
 	if th.homeBusy(r.addr) {
-		th.stallHomeArg(r.addr, d.atHomeFn, d.msg(home, r))
+		th.stallHomeArg(r.addr, d.atHomeFn, d.msg(r))
 		return
 	}
 	ctx.pw.L2TagRead.Inc()
@@ -473,20 +439,19 @@ func (d *Directory) atHome(r dirReq) {
 		if owner == r.requestor {
 			// Our own writeback is still in flight; retry shortly.
 			ctx.spanRetry(r.requestor)
-			ctx.Kernel.AfterArg(retryBackoff, d.atHomeFn, d.msg(home, retryReq(r)))
+			ctx.Kernel.AfterArg(retryBackoff, d.atHomeFn, d.msg(retryReq(r)))
 			return
 		}
 		if r.forwards >= maxForwards {
 			// Forwarding keeps bouncing (transfer in flight): back off
 			// and retry from the home.
 			ctx.spanRetry(r.requestor)
-			ctx.Kernel.AfterArg(retryBackoff, d.atHomeFn, d.msg(home, retryReq(r)))
+			ctx.Kernel.AfterArg(retryBackoff, d.atHomeFn, d.msg(retryReq(r)))
 			return
 		}
 		r.forwards++
 		ctx.spanEvent("dir-forward-owner", home)
-		d.cen.fwdOwner.Touch(int(home), int(home))
-		m := d.msg(home, r)
+		m := d.msg(r)
 		m.tile = owner
 		del := ctx.SendCtlArg(home, owner, d.atOwnerFn, m)
 		m.r.links += int16(del.Hops)
@@ -522,13 +487,12 @@ func (d *Directory) homeRead(ctx *Context, r dirReq, dline *cache.DirEntry) {
 		ctx.pw.DirWrite.Inc()
 		if r.forwards >= maxForwards {
 			ctx.spanRetry(r.requestor)
-			ctx.Kernel.AfterArg(retryBackoff, d.atHomeFn, d.msg(home, retryReq(r)))
+			ctx.Kernel.AfterArg(retryBackoff, d.atHomeFn, d.msg(retryReq(r)))
 			return
 		}
 		r.forwards++
 		ctx.spanEvent("dir-forward-sharer", home)
-		d.cen.fwdSharer.Touch(int(home), int(home))
-		m := d.msg(home, r)
+		m := d.msg(r)
 		m.tile = sharer
 		del := ctx.SendCtlArg(home, sharer, d.atSharerFn, m)
 		m.r.links += int16(del.Hops)
@@ -552,11 +516,10 @@ func (d *Directory) homeWrite(ctx *Context, r dirReq, dline *cache.DirEntry) {
 	home := ctx.HomeOf(r.addr)
 	th := d.tiles[home]
 	sharers := dline.Sharers &^ bit(r.requestor)
-	d.cen.sharerAcks.Touch(int(home), int(home))
 	r.acks += int16(popcount(sharers))
 	for v := sharers; v != 0; v &= v - 1 {
 		sharer := topo.Tile(bits.TrailingZeros64(v))
-		m := d.msg(home, dirReq{addr: r.addr, requestor: r.requestor})
+		m := d.msg(dirReq{addr: r.addr, requestor: r.requestor})
 		m.tile = sharer
 		ctx.SendCtlArg(home, sharer, d.invalFn, m)
 	}
@@ -578,7 +541,7 @@ func (d *Directory) homeWrite(ctx *Context, r dirReq, dline *cache.DirEntry) {
 // atOwner handles a forwarded request at the (supposed) exclusive L1
 // owner.
 func (d *Directory) atOwner(r dirReq, owner topo.Tile) {
-	ctx := d.ctx.At(owner)
+	ctx := d.ctx
 	ctx.chargeVM(r.requestor)
 	to := d.tiles[owner]
 	if _, pending := to.mshr.Lookup(r.addr); pending {
@@ -596,14 +559,12 @@ func (d *Directory) atOwner(r dirReq, owner topo.Tile) {
 			ctx.Trace(r.addr, "atOwner %d bounce (req=%d, line gone/demoted)", owner, r.requestor)
 		}
 		home := ctx.HomeOf(r.addr)
-		d.cen.ownerBounce.Touch(int(owner), int(owner))
-		m := d.msg(owner, r)
+		m := d.msg(r)
 		del := ctx.SendCtlArg(owner, home, d.atHomeFn, m)
 		m.r.links += int16(del.Hops)
 		return
 	}
 	home := ctx.HomeOf(r.addr)
-	d.cen.ownerClass.Touch(int(owner), int(owner))
 	r.clsPlus1 = int8(MissUnpredOwner) + 1
 	dirty := line.Dirty
 	stamp := ctx.Kernel.Now()
@@ -616,7 +577,7 @@ func (d *Directory) atOwner(r dirReq, owner topo.Tile) {
 		ctx.pw.L1TagWrite.Inc()
 		ctx.pw.L1DataRead.Inc()
 		d.deliverData(ctx, r, owner, dirModified, true)
-		m := d.msg(owner, r)
+		m := d.msg(r)
 		m.tile = r.requestor
 		m.stamp = stamp
 		ctx.SendCtlArg(owner, home, d.handoverFn, m)
@@ -632,7 +593,7 @@ func (d *Directory) atOwner(r dirReq, owner topo.Tile) {
 	ctx.pw.L1TagWrite.Inc()
 	ctx.pw.L1DataRead.Inc()
 	d.deliverData(ctx, r, owner, dirShared, false)
-	m := d.msg(owner, r)
+	m := d.msg(r)
 	m.tile = owner
 	m.stamp = stamp
 	m.dirty = dirty
@@ -641,7 +602,7 @@ func (d *Directory) atOwner(r dirReq, owner topo.Tile) {
 
 // atSharerSupply handles a read forwarded to a clean sharer.
 func (d *Directory) atSharerSupply(r dirReq, sharer topo.Tile) {
-	ctx := d.ctx.At(sharer)
+	ctx := d.ctx
 	ctx.chargeVM(r.requestor)
 	ts := d.tiles[sharer]
 	ctx.pw.L1TagRead.Inc()
@@ -652,8 +613,7 @@ func (d *Directory) atSharerSupply(r dirReq, sharer topo.Tile) {
 	}
 	// Silent eviction raced us; drop the stale bit and retry at home.
 	home := ctx.HomeOf(r.addr)
-	d.cen.sharerRetry.Touch(int(sharer), int(sharer))
-	m := d.msg(sharer, r)
+	m := d.msg(r)
 	m.tile = sharer
 	m.stamp = ctx.Kernel.Now()
 	del := ctx.SendCtlArg(sharer, home, d.sharerRetryFn, m)
@@ -696,7 +656,7 @@ func (d *Directory) stampNow(ctx *Context, home topo.Tile, addr cache.Addr) {
 // invalidateAtL1 drops the block at a sharer and acknowledges the
 // requestor.
 func (d *Directory) invalidateAtL1(tile topo.Tile, addr cache.Addr, requestor topo.Tile) {
-	ctx := d.ctx.At(tile)
+	ctx := d.ctx
 	t := d.tiles[tile]
 	if ctx.tracing(addr) {
 		ctx.Trace(addr, "invalidate at %d (ack to %d)", tile, requestor)
@@ -708,7 +668,7 @@ func (d *Directory) invalidateAtL1(tile topo.Tile, addr cache.Addr, requestor to
 	if e, ok := t.mshr.Lookup(addr); ok {
 		e.InvalidatedWhilePending = true
 	}
-	m := d.msg(tile, dirReq{addr: addr})
+	m := d.msg(dirReq{addr: addr})
 	m.tile = requestor
 	ctx.SendCtlArg(tile, requestor, d.ackFn, m)
 }
@@ -727,8 +687,7 @@ func (d *Directory) ackAtRequestor(ctx *Context, requestor topo.Tile, addr cache
 // goes straight to the requestor.
 func (d *Directory) fetchFromMemory(ctx *Context, r dirReq, home topo.Tile) {
 	mc := ctx.Mem.For(r.addr)
-	d.cen.fetchMem.Touch(int(home), int(home))
-	m := d.msg(home, r)
+	m := d.msg(r)
 	del := ctx.SendCtlArg(home, mc, d.memReqFn, m)
 	m.r.links += int16(del.Hops)
 }
@@ -737,7 +696,7 @@ func (d *Directory) fetchFromMemory(ctx *Context, r dirReq, home topo.Tile) {
 // on arrival. The request's ride-along bookkeeping travels with it and
 // is applied at the requestor by deliverFn.
 func (d *Directory) deliverData(ctx *Context, r dirReq, from topo.Tile, state cache.State, dirty bool) {
-	m := d.msg(from, r)
+	m := d.msg(r)
 	m.state = state
 	m.dirty = dirty
 	del := ctx.SendDataArg(from, r.requestor, d.deliverFn, m)
@@ -784,7 +743,7 @@ func (d *Directory) evictL1(ctx *Context, tile topo.Tile, victim cache.Line) {
 	dirty := victim.Dirty
 	stamp := ctx.Kernel.Now()
 	ctx.pw.L1DataRead.Inc()
-	m := d.msg(tile, dirReq{addr: victim.Addr})
+	m := d.msg(dirReq{addr: victim.Addr})
 	m.tile = tile
 	m.stamp = stamp
 	m.dirty = dirty
@@ -875,9 +834,8 @@ func (d *Directory) allocDirEntry(ctx *Context, home topo.Tile, addr cache.Addr,
 	forEachBit(holders, func(i int) {
 		holder := topo.Tile(i)
 		ctx.SendCtl(home, holder, func() {
-			// Runs at the holder: rebind to its lane view before
-			// touching its L1 or charging counters.
-			hctx := d.ctx.At(holder)
+			// Runs at the holder.
+			hctx := d.ctx
 			t := d.tiles[holder]
 			hctx.pw.L1TagRead.Inc()
 			if old, ok := t.l1.Invalidate(victimAddr); ok {

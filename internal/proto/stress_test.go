@@ -45,52 +45,9 @@ func TestStress(t *testing.T) {
 	}
 }
 
-// TestStressParallel replays the seeded high-conflict streams on the
-// sharded mini-chip under the concurrent RunParallel executor —
-// shards 1/2/4/8, all four engines — and requires the replay
-// fingerprint to match the sequential merge exactly. The shadow
-// checker cannot follow onto the lanes (it is hub-resident), so this
-// leg leans on the differential gate instead: TestStress has already
-// checked these exact streams under the shadow checker, and the
-// fingerprint ties the parallel execution back to that checked run.
-// The CI race leg runs this test under -race, which is what actually
-// exercises the messageized engine handlers across lane goroutines.
-func TestStressParallel(t *testing.T) {
-	seeds := stressSeeds()
-	if seeds > 6 && testing.Short() {
-		seeds = 6
-	}
-	for seed := 1; seed <= seeds; seed++ {
-		blocks := []int{1, 2, 4, 8, 16, 48}[seed%6]
-		writePct := []int{40, 60, 75}[seed%3]
-		recs := check.ConflictStream(uint64(seed), 16, blocks, 700, writePct)
-		for _, p := range stressProtocols {
-			name := fmt.Sprintf("s%d-b%d-w%d/%s", seed, blocks, writePct, p)
-			want, err := check.RunRecordSharded(p, recs, 16, 4, 4, uint64(seed), false)
-			if err != nil {
-				t.Errorf("%s merge: %v", name, err)
-				continue
-			}
-			for _, shards := range []int{1, 2, 4, 8} {
-				got, err := check.RunRecordSharded(p, recs, 16, 4, shards, uint64(seed), true)
-				if err != nil {
-					t.Errorf("%s parallel shards=%d: %v", name, shards, err)
-					continue
-				}
-				if got != want {
-					t.Errorf("%s parallel shards=%d fingerprint diverges:\n got %+v\nwant %+v",
-						name, shards, got, want)
-				}
-			}
-		}
-	}
-}
-
 // FuzzStress lets the fuzzer mutate the raw reference stream. Every
 // byte pair decodes to one reference; all four protocols must run the
-// stream without checker, watchdog, deadlock or invariant errors, and
-// the RunParallel replay must stay fingerprint-identical to the
-// sequential merge on every input.
+// stream without checker, watchdog, deadlock or invariant errors.
 func FuzzStress(f *testing.F) {
 	f.Add([]byte{0x80, 0x01, 0x01, 0x01, 0x82, 0x41, 0x03, 0x01})
 	for seed := uint64(1); seed <= 4; seed++ {
@@ -116,19 +73,6 @@ func FuzzStress(f *testing.F) {
 		for _, p := range stressProtocols {
 			if _, err := check.RunRecord(p, recs, 16, 4, 7, false); err != nil {
 				t.Errorf("%s: %v", p, err)
-			}
-			want, err := check.RunRecordSharded(p, recs, 16, 4, 4, 7, false)
-			if err != nil {
-				t.Errorf("%s merge: %v", p, err)
-				continue
-			}
-			got, err := check.RunRecordSharded(p, recs, 16, 4, 4, 7, true)
-			if err != nil {
-				t.Errorf("%s parallel: %v", p, err)
-				continue
-			}
-			if got != want {
-				t.Errorf("%s parallel fingerprint diverges:\n got %+v\nwant %+v", p, got, want)
 			}
 		}
 	})

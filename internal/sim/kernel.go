@@ -56,13 +56,10 @@ type evKey struct {
 // the closure form (At/After) and arg holds the Event; otherwise
 // argFn+arg is the non-capturing fast path (AtArg/AfterArg). tag is
 // the causal context (see Kernel.Tag) captured at scheduling time.
-// seq is the global scheduling-order stamp a sharded run assigns (zero
-// and unused when the kernel runs standalone): the ShardedKernel merge
-// dispatches same-cycle events across shards by ascending seq, which
-// reproduces the standalone kernel's FIFO-within-slot total order.
+// Same-cycle order needs no stamp here: wheel slots are FIFO lists, and
+// only the overflow heap keys carry a sequence number.
 type evPayload struct {
 	tag   uint64
-	seq   uint64
 	argFn func(any)
 	arg   any
 }
@@ -104,17 +101,6 @@ type Kernel struct {
 	seq uint64
 	tag uint64 // current causal tag (see Tag)
 
-	// shard is non-nil when this kernel is one lane of a ShardedKernel:
-	// the causal tag then lives in the shared cell (one logical tag per
-	// chip, whichever lane an event runs on) and every schedule is
-	// stamped with a global sequence number. shardIdx is this kernel's
-	// lane. wlog is non-nil only while a parallel window is executing on
-	// this lane: schedule and dispatch append to it so the barrier can
-	// reconstruct the exact sequential order (see shard.go).
-	shard    *ShardedKernel
-	shardIdx int32
-	wlog     *windowLog
-
 	slots   []wheelSlot      // wheelSize one-cycle FIFO slots
 	occ     [occWords]uint64 // occupancy bitmap over slots
 	nodes   []evNode         // arena backing the slot lists
@@ -145,17 +131,8 @@ func (k *Kernel) Now() Time { return k.now }
 // Rand returns the kernel's deterministic random source.
 func (k *Kernel) Rand() *Rand { return k.rng }
 
-// EventsRun returns the number of events executed so far. On a lane
-// of a sharded group (outside parallel windows) it reports the
-// group-wide total: observers hanging off a lane — the sampler, the
-// watchdog — mean "the simulation", not one lane, and the group-wide
-// count is what matches a serial run bit for bit.
-func (k *Kernel) EventsRun() uint64 {
-	if k.shard != nil && k.wlog == nil {
-		return k.shard.EventsRun()
-	}
-	return k.events
-}
+// EventsRun returns the number of events executed so far.
+func (k *Kernel) EventsRun() uint64 { return k.events }
 
 // Tag returns the current causal tag: an opaque value that every
 // scheduled event inherits at scheduling time and that is restored
@@ -167,30 +144,14 @@ func (k *Kernel) EventsRun() uint64 {
 // mesh; tag 0 means "untagged". Tagging is always on and costs one
 // 8-byte copy per schedule and dispatch — it never changes event
 // order, so runs are bit-identical whether or not anyone reads tags.
-func (k *Kernel) Tag() uint64 { return k.curTag() }
+func (k *Kernel) Tag() uint64 { return k.tag }
 
 // SetTag sets the current causal tag. Events scheduled from now on
 // (until the next dispatch overwrites it) carry this tag.
-func (k *Kernel) SetTag(t uint64) {
-	if k.shard != nil && k.wlog == nil {
-		k.shard.tag = t
-		return
-	}
-	k.tag = t
-}
+func (k *Kernel) SetTag(t uint64) { k.tag = t }
 
-// Pending returns the number of events waiting in the queue — the
-// whole group's queues on a sharded lane (outside parallel windows),
-// for the same reason as EventsRun.
-func (k *Kernel) Pending() int {
-	if k.shard != nil && k.wlog == nil {
-		return k.shard.Pending()
-	}
-	return k.pendingLocal()
-}
-
-// pendingLocal counts only this lane's queued events.
-func (k *Kernel) pendingLocal() int { return k.inWheel + len(k.ofKeys) }
+// Pending returns the number of events waiting in the queue.
+func (k *Kernel) Pending() int { return k.inWheel + len(k.ofKeys) }
 
 // newNode pops a node from the free list or grows the arena.
 func (k *Kernel) newNode() int32 {
@@ -239,46 +200,12 @@ func (k *Kernel) schedule(at Time, val evPayload) {
 	if k.prof != nil {
 		k.prof.Scheduled++
 	}
-	if k.shard != nil {
-		k.scheduleSharded(at, val)
-		return
-	}
 	if at < k.now+wheelSize {
 		k.wheelAppend(at, val)
 		return
 	}
 	k.seq++
 	k.ofPush(evKey{at: at, seq: k.seq}, val)
-}
-
-// scheduleSharded is schedule for a kernel lane of a ShardedKernel:
-// the payload is stamped with the global scheduling sequence (the
-// overflow heap key reuses the stamp, so heap order equals global
-// order), and during a parallel window the stamp is provisional and
-// the call is recorded in the window log for barrier renumbering.
-func (k *Kernel) scheduleSharded(at Time, val evPayload) {
-	val.seq = k.shard.stamp(k)
-	if k.wlog != nil {
-		k.wlog.sched = append(k.wlog.sched, schedEnt{prov: val.seq, kind: schedLocal})
-	}
-	if at < k.now+wheelSize {
-		k.wheelAppend(at, val)
-		return
-	}
-	k.ofPush(evKey{at: at, seq: val.seq}, val)
-}
-
-// curTag returns the tag scheduled events capture: the shard group's
-// shared cell in a sequential sharded run (one logical tag per chip,
-// whichever lane an event runs on), the kernel's own cell otherwise —
-// including during parallel windows, when lanes run concurrently and
-// the shared cell would be a data race. Causal chains stay lane-local
-// in parallel mode by construction, so the per-lane cell is exact.
-func (k *Kernel) curTag() uint64 {
-	if k.shard != nil && k.wlog == nil {
-		return k.shard.tag
-	}
-	return k.tag
 }
 
 // migrate drains overflow events that have come within the wheel
@@ -387,7 +314,7 @@ func (k *Kernel) checkTime(t Time) {
 // form for dispatch.
 func (k *Kernel) At(t Time, ev Event) {
 	k.checkTime(t)
-	k.schedule(t, evPayload{tag: k.curTag(), arg: ev})
+	k.schedule(t, evPayload{tag: k.tag, arg: ev})
 }
 
 // After schedules ev to run delay cycles from now.
@@ -403,7 +330,7 @@ func (k *Kernel) After(delay Time, ev Event) {
 // exactly as if the call were At(t, func() { fn(arg) }).
 func (k *Kernel) AtArg(t Time, fn func(any), arg any) {
 	k.checkTime(t)
-	k.schedule(t, evPayload{tag: k.curTag(), argFn: fn, arg: arg})
+	k.schedule(t, evPayload{tag: k.tag, argFn: fn, arg: arg})
 }
 
 // AfterArg schedules fn(arg) to run delay cycles from now.
@@ -422,124 +349,6 @@ func (k *Kernel) nextTime() (Time, bool) {
 	return 0, false
 }
 
-// peekKey returns the (time, seq) key of the earliest pending event
-// without dispatching it; ok is false when the kernel is idle. The
-// wheel head is the global minimum whenever the wheel is non-empty:
-// every overflow event lies at least a full wheel horizon past some
-// earlier clock value, and migration runs on every clock advance, so
-// ofKeys[0].at >= now+wheelSize > any wheel timestamp. The ShardedKernel
-// merge compares lanes' peekKeys to pick the serial-order next event.
-func (k *Kernel) peekKey() (evKey, bool) {
-	if k.inWheel > 0 {
-		s := &k.slots[k.nextSlot()]
-		return evKey{at: s.at, seq: k.nodes[s.head].val.seq}, true
-	}
-	if len(k.ofKeys) > 0 {
-		return k.ofKeys[0], true
-	}
-	return evKey{}, false
-}
-
-// advanceTo jumps the clock forward to t without dispatching anything.
-// The ShardedKernel merge advances every lane to each dispatched
-// timestamp so Now() reads agree chip-wide no matter which lane a
-// handler runs on. Moving the wheel horizon forward pulls newly
-// in-range overflow events into their slots, exactly as Run(limit)
-// does on a jump — skipping that was the PR 5 out-of-order bug.
-func (k *Kernel) advanceTo(t Time) {
-	if t <= k.now {
-		return
-	}
-	k.now = t
-	if len(k.ofKeys) > 0 && k.ofKeys[0].at < t+wheelSize {
-		k.migrate(t)
-	}
-}
-
-// Deferring reports whether a parallel window is currently executing
-// on this lane. Handlers that would touch state owned by another lane
-// (mesh link reservations, the memory controller's random stream) test
-// it and route the touch through Defer instead, so the mutation happens
-// at the barrier in exact merged serial order.
-func (k *Kernel) Deferring() bool { return k.wlog != nil }
-
-// Defer logs a barrier-deferred operation from inside a parallel
-// window. The operation reserves nseq sequence stamps at its position
-// in the lane's schedule order; at the barrier, after dispatch replay
-// has assigned final stamps, fn(arg, seqBase) runs on the coordinating
-// goroutine with seqBase the first of its nseq final stamps — exactly
-// the stamps a serial run would have assigned at this call site. The
-// resolver may mutate shared state and inject events with
-// InjectResolved; it must schedule nothing through the normal API.
-// Panics outside a parallel window: sequential executors run the
-// operation inline instead (test Deferring first).
-func (k *Kernel) Defer(nseq int, fn func(arg any, seqBase uint64), arg any) {
-	wl := k.wlog
-	if wl == nil {
-		panic("sim: Defer outside a parallel window")
-	}
-	wl.defers = append(wl.defers, deferEnt{fn: fn, arg: arg, nseq: int32(nseq)})
-	wl.sched = append(wl.sched,
-		schedEnt{kind: schedDefer, idx: int32(len(wl.defers) - 1)})
-}
-
-// InjectResolved splices fn(arg) into this lane's queue at absolute
-// time at, carrying an explicit final sequence stamp and causal tag.
-// Only barrier-deferred resolvers call it: the stamp was reserved by
-// Defer, so the payload lands in exact serial order without consuming a
-// new stamp. at must lie strictly past the lane's clock (the
-// conservative horizon guarantees this for any cross-tile latency).
-func (k *Kernel) InjectResolved(at Time, seq, tag uint64, fn func(any), arg any) {
-	if at <= k.now {
-		panic(fmt.Sprintf("sim: InjectResolved at %d, not past now=%d", at, k.now))
-	}
-	k.insertArrival(at, evPayload{tag: tag, seq: seq, argFn: fn, arg: arg})
-}
-
-// insertArrival splices an already-stamped payload (a cross-shard
-// channel message) into the queue in (at, seq) position rather than at
-// the slot tail: the message was scheduled mid-window on another lane,
-// so events this lane scheduled later in its window may carry larger
-// stamps yet already sit in the slot. Conservative lookahead guarantees
-// at > now (arrivals land strictly past the window that sent them).
-func (k *Kernel) insertArrival(at Time, val evPayload) {
-	if at >= k.now+wheelSize {
-		k.ofPush(evKey{at: at, seq: val.seq}, val)
-		return
-	}
-	s := &k.slots[int(at)&wheelMask]
-	if s.head < 0 {
-		k.wheelAppend(at, val)
-		return
-	}
-	if s.at != at {
-		k.slotAliasPanic(s.at, at)
-	}
-	n := k.newNode()
-	nd := &k.nodes[n]
-	nd.val = val
-	if k.nodes[s.head].val.seq > val.seq {
-		nd.next = s.head
-		s.head = n
-		k.inWheel++
-		return
-	}
-	p := s.head
-	for {
-		next := k.nodes[p].next
-		if next < 0 || k.nodes[next].val.seq > val.seq {
-			break
-		}
-		p = next
-	}
-	nd.next = k.nodes[p].next
-	k.nodes[p].next = n
-	if nd.next < 0 {
-		s.tail = n
-	}
-	k.inWheel++
-}
-
 // Step executes the earliest pending event, advancing the clock to its
 // timestamp. It reports whether an event was executed.
 func (k *Kernel) Step() bool {
@@ -555,14 +364,7 @@ func (k *Kernel) Step() bool {
 		k.migrate(k.now)
 	}
 	if k.prof != nil {
-		depth := k.inWheel + len(k.ofKeys)
-		if k.shard != nil {
-			// The merge dispatches the same event the serial kernel would,
-			// so the chip-wide pending count matches the serial queue depth
-			// exactly; a per-lane count would not.
-			depth = k.shard.Pending()
-		}
-		k.prof.QueueDepth.Observe(uint64(depth))
+		k.prof.QueueDepth.Observe(uint64(k.inWheel + len(k.ofKeys)))
 	}
 	si := k.nextSlot()
 	s := &k.slots[si]
@@ -580,15 +382,7 @@ func (k *Kernel) Step() bool {
 	nd.next = k.free
 	k.free = n
 	k.now = at
-	if k.shard != nil && k.wlog == nil {
-		k.shard.tag = e.tag
-	} else {
-		k.tag = e.tag
-		if k.wlog != nil {
-			k.wlog.dispatch = append(k.wlog.dispatch,
-				dispatchEnt{at: at, seq: e.seq, schedStart: int32(len(k.wlog.sched))})
-		}
-	}
+	k.tag = e.tag
 	k.events++
 	// Advancing the clock moved the wheel horizon forward: pull any
 	// overflow events now in range before dispatching, so events the
@@ -640,28 +434,11 @@ func (k *Kernel) Run(limit Time) uint64 {
 	return k.events - start
 }
 
-// runWindow executes all events with timestamps <= limit and leaves the
-// clock at limit. It is Run(limit) without the limit-0 drain sentinel
-// (a parallel window can legitimately end at cycle 0) and with the
-// final clock always aligned to the window end, even when the queue
-// drains early — so every lane of a parallel window rejoins the barrier
-// at the same time.
-func (k *Kernel) runWindow(limit Time) {
-	for {
-		t, ok := k.nextTime()
-		if !ok || t > limit {
-			k.advanceTo(limit)
-			return
-		}
-		k.Step()
-	}
-}
-
 // RunUntil executes events while cond returns true and events remain.
 // It returns the number of events executed.
 func (k *Kernel) RunUntil(cond func() bool) uint64 {
 	start := k.events
-	for k.pendingLocal() > 0 && !cond() {
+	for k.Pending() > 0 && !cond() {
 		k.Step()
 	}
 	return k.events - start

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKernelOrdering(t *testing.T) {
@@ -438,5 +439,15 @@ func TestKernelTagInterleaving(t *testing.T) {
 		if seen[tag] != 4 {
 			t.Errorf("tree %d dispatched %d events, want 4", tag, seen[tag])
 		}
+	}
+}
+
+// TestEventPayloadSize pins the pending-event payload at 32 bytes: the
+// causal tag, the handler and its argument. Every scheduled event is
+// copied into and out of the wheel arena, so a field added here costs
+// every dispatch.
+func TestEventPayloadSize(t *testing.T) {
+	if got := unsafe.Sizeof(evPayload{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(evPayload{}) = %d, want 32", got)
 	}
 }

@@ -35,8 +35,8 @@ func (h *Hist) Mean() float64 {
 // Percentile returns an upper bound for the p-quantile (p in (0,1]):
 // the inclusive upper edge of the first bucket whose cumulative count
 // reaches ceil(p*Count), clamped to the observed Max. The answer
-// depends only on the bucket counts, so it is deterministic and
-// identical across executors for identical sample streams.
+// depends only on the bucket counts, so it is deterministic for
+// identical sample streams.
 func (h *Hist) Percentile(p float64) uint64 {
 	if h.Count == 0 {
 		return 0

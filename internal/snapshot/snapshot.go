@@ -68,24 +68,17 @@ func WarmupConfig(cfg core.Config) core.Config {
 	cfg.TraceCap = 0
 	cfg.SampleEvery = 0
 	cfg.SampleCap = 0
-	// Census and per-VM attribution are observation-only and reset at
-	// the warmup/measure boundary, so a plain warmup serves instrumented
-	// forks (the fork's own config arms them at construction).
-	cfg.Census = false
+	// Per-VM attribution is observation-only and reset at the
+	// warmup/measure boundary, so a plain warmup serves instrumented
+	// forks (the fork's own config arms it at construction).
 	cfg.PerVM = false
-	// Sharding is an execution strategy, not a model change: any shard
-	// count — and either window executor — produces bit-identical
-	// state, so a serial warmup may fork into sharded or RunParallel
-	// measure phases and vice versa.
-	cfg.Shards = 0
-	cfg.Parallel = false
 	return cfg
 }
 
 // Capture serializes the system's state. The system must be quiescent
 // (between phases); any in-flight work is a capture error.
 func Capture(s *core.System) (*State, error) {
-	kst, err := s.KernelState()
+	kst, err := s.Kernel.State()
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %v", err)
 	}
@@ -124,7 +117,7 @@ func Restore(s *core.System, st *State) error {
 	if got := WarmupConfig(s.Cfg); got != st.Config {
 		return fmt.Errorf("snapshot: config mismatch: snapshot warmed up as %+v, system is %+v", st.Config, got)
 	}
-	if err := s.RestoreKernelState(st.Kernel); err != nil {
+	if err := s.Kernel.RestoreState(st.Kernel); err != nil {
 		return fmt.Errorf("snapshot: %v", err)
 	}
 	if err := s.Net.RestoreState(st.Net); err != nil {

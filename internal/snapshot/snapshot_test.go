@@ -287,80 +287,3 @@ func TestWatchdogRearmsAfterFork(t *testing.T) {
 		t.Fatalf("watchdog tripped on a healthy forked run: %v", err)
 	}
 }
-
-// TestForkAcrossExecutors pins the executor-agnosticism of the
-// snapshot surface: one warmup forks into serial AND sharded measure
-// phases (and a sharded warmup forks into a serial measure), all
-// bit-identical to the straight-through serial run. WarmupConfig
-// normalizes Shards away, so the snapshots are interchangeable by
-// construction — this test proves the captured state really is.
-func TestForkAcrossExecutors(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full protocol runs")
-	}
-	cfg := testConfig("dico")
-	straight, err := core.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fingerprint(straight)
-
-	// Serial warmup -> sharded measure (runFork warms up under the
-	// normalized config, which is serial; the fork config shards).
-	shardedCfg := cfg
-	shardedCfg.Shards = 3
-	diffFingerprints(t, "serial-warmup/sharded-measure", want, fingerprint(runFork(t, shardedCfg)))
-
-	// Serial warmup -> RunParallel measure (the fork config asks for
-	// the concurrent window executor; the snapshot must not care).
-	parCfg := cfg
-	parCfg.Shards = 4
-	parCfg.Parallel = true
-	parRes := runFork(t, parCfg)
-	if parRes.Executor != "parallel" {
-		t.Fatalf("serial-warmup/parallel-measure: executor = %q, want parallel", parRes.Executor)
-	}
-	diffFingerprints(t, "serial-warmup/parallel-measure", want, fingerprint(parRes))
-
-	// Sharded (and RunParallel) warmup -> serial measure: capture from
-	// a warmed-up system on the named executor, round-trip the wire
-	// format, fork into a plain serial measure phase.
-	warmInto := func(label string, warmMut func(*core.Config)) {
-		warmCfg := WarmupConfig(cfg)
-		warmCfg.RefsPerCore = cfg.RefsPerCore
-		warmMut(&warmCfg)
-		ws, err := core.NewSystem(warmCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ws.RunWarmup(); err != nil {
-			t.Fatal(err)
-		}
-		st, err := Capture(ws)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, err := Bytes(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st2, err := Decode(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fs, err := Fork(st2, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := fs.RunMeasure()
-		if err != nil {
-			t.Fatal(err)
-		}
-		diffFingerprints(t, label, want, fingerprint(res))
-	}
-	warmInto("sharded-warmup/serial-measure", func(c *core.Config) { c.Shards = 2 })
-	warmInto("parallel-warmup/serial-measure", func(c *core.Config) {
-		c.Shards = 4
-		c.Parallel = true
-	})
-}

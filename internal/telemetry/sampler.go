@@ -37,8 +37,7 @@ type Sample struct {
 	EnergyRoutingPJ float64 `json:"energy_routing_pj"`
 	// Per-VM cumulative energy split at the snapshot, indexed by VM id.
 	// Nil unless per-VM attribution is armed. Derived from the per-VM
-	// counter banks — pure simulation state, so the series stays
-	// bit-identical serial vs sharded.
+	// counter banks — pure simulation state.
 	PerVMCachePJ []float64 `json:"per_vm_cache_pj,omitempty"`
 	PerVMNetPJ   []float64 `json:"per_vm_net_pj,omitempty"`
 }

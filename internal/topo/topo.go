@@ -70,24 +70,6 @@ func abs(v int) int {
 	return v
 }
 
-// Partition divides the grid's tiles into n contiguous row-major
-// bands for conservative-PDES sharding: shard i owns tiles
-// [i*T/n, (i+1)*T/n). Contiguous row-major ranges keep each shard a
-// horizontal band (exact rows when n divides Rows), which minimizes
-// the number of mesh links crossing shard boundaries — every boundary
-// crossing costs a conservative synchronization, so fewer is faster.
-// The returned slice maps tile -> shard. n must be in [1, Tiles()].
-func Partition(grid Grid, n int) []int {
-	if n < 1 || n > grid.Tiles() {
-		panic(fmt.Sprintf("topo: cannot partition %d tiles into %d shards", grid.Tiles(), n))
-	}
-	shardOf := make([]int, grid.Tiles())
-	for t := range shardOf {
-		shardOf[t] = t * n / grid.Tiles()
-	}
-	return shardOf
-}
-
 // Areas is the static, hard-wired division of the chip into equal
 // areas. Areas are as square as possible (the paper uses four 4x4
 // areas on the 8x8 chip).

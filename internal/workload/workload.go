@@ -333,19 +333,14 @@ type Generator struct {
 	zipfWin  []*zipf // per-thread dedup window
 	winSize  []int
 
-	laneOf []int         // tile -> executor lane (nil: single lane)
-	lanes  []*sim.Kernel // lane -> its kernel (clock source)
+	clock *sim.Kernel // translation clock (nil: cycle 0)
 }
 
-// SetLanes binds the generator and its mapper to the executor lanes:
-// laneOf maps each tile to the lane whose kernel runs it, and kernels
-// holds each lane's clock. Next then translates pages as seen by the
-// calling tile's lane at its current cycle, which is what makes
-// translation lane-safe under the parallel executor.
+// SetLanes binds the generator to the kernel whose clock Next translates
+// pages at: kernels[0]. laneOf is unused; the signature is kept for
+// callers that bind every tile to that one kernel.
 func (g *Generator) SetLanes(laneOf []int, kernels []*sim.Kernel) {
-	g.laneOf = laneOf
-	g.lanes = kernels
-	g.mapper.SetLanes(kernels)
+	g.clock = kernels[0]
 }
 
 // NewGenerator builds a generator for workload w on the given VM
@@ -485,12 +480,11 @@ func (g *Generator) Next(tile topo.Tile) Access {
 	}
 
 	vpage, mclass := g.virtualPage(vm, tile, cs.class, cs.page, p)
-	slot, now := 0, sim.Time(0)
-	if g.laneOf != nil {
-		slot = g.laneOf[tile]
-		now = g.lanes[slot].Now()
+	now := sim.Time(0)
+	if g.clock != nil {
+		now = g.clock.Now()
 	}
-	phys, _ := g.mapper.TranslateAt(vm, vpage, mclass, write, slot, now)
+	phys, _ := g.mapper.TranslateAt(vm, vpage, mclass, write, now)
 	gap := sim.Time(r.Intn(2*p.MeanGap + 1))
 	return Access{Addr: memctrl.BlockAddr(phys, cs.block), Write: write, Gap: gap}
 }
