@@ -4,9 +4,11 @@
 package proto_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/check"
+	"repro/internal/core"
 	"repro/internal/trace"
 )
 
@@ -129,5 +131,47 @@ var seed139Stream = []trace.Record{
 func TestRegressionSeed139(t *testing.T) {
 	if _, err := check.RunRecord("directory", seed139Stream, 16, 4, 139, false); err != nil {
 		t.Fatalf("directory: %v", err)
+	}
+}
+
+// TestRegressionProvidersProPos replays three full-chip DiCo-Providers
+// runs that broke its provider bookkeeping, under the shadow checker,
+// the watchdog and the quiescent invariant check. Shorter runs miss the
+// races, so these are the original seeds and lengths.
+//
+//   - jbb4x16p, seed 1388281560: a Change_Provider found the ownership
+//     in flight to the home and was dropped, leaving the home's
+//     ProPos[1] on the old provider ("ProPos[1]=2 but provider is 14").
+//   - apache4x16p, seed 336835655: a stale-pointer repair reached the
+//     owner before the Change_Provider of a transfer; the owner then
+//     made a new provider and the late update overwrote it ("two
+//     providers in area 1 (4, 15)").
+//   - jbb4x16p, seed 169: a provider re-requested a block right after
+//     evicting it, before its No_Provider arrived; the home forwarded
+//     the request to the requestor itself, which stalled it behind its
+//     own miss for good.
+func TestRegressionProvidersProPos(t *testing.T) {
+	for _, c := range []struct {
+		workload string
+		seed     uint64
+	}{
+		{"jbb4x16p", 1388281560},
+		{"apache4x16p", 336835655},
+		{"jbb4x16p", 169},
+	} {
+		c := c
+		t.Run(fmt.Sprintf("%s/%d", c.workload, c.seed), func(t *testing.T) {
+			t.Parallel()
+			cfg := core.DefaultConfig()
+			cfg.Protocol = "providers"
+			cfg.Workload = c.workload
+			cfg.Seed = c.seed
+			cfg.RefsPerCore = 6000
+			cfg.WarmupRefs = 12000
+			cfg.Check = true
+			if _, err := core.Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -30,9 +30,11 @@ func runClosure(a any) { a.(func())() }
 
 // Per-block transient flags.
 const (
-	txHomeBusy uint8 = 1 << iota // home bank serialized on this block
-	txBlocked                    // Arin broadcast invalidation in progress
-	txRecall                     // ownership recall in flight (DiCo family)
+	txHomeBusy    uint8 = 1 << iota // home bank serialized on this block
+	txBlocked                       // Arin broadcast invalidation in progress
+	txRecall                        // ownership recall in flight (DiCo family)
+	txProvLeaving                   // a ProPos update naming this tile is in flight (Providers)
+	txProvPending                   // this tile's Change_Provider awaits the owner (Providers)
 )
 
 // txRecord is the transient coherence state one tile tracks for one
