@@ -14,17 +14,13 @@ import (
 
 // RunCache is a content-addressed store of finished simulation runs.
 // The address of a run is the SHA-256 of its full canonical
-// configuration plus the git revision of the producing binary, so a
-// repeated sweep resolves every already-computed cell to a disk read
-// and any code change (a new revision) silently invalidates the whole
-// cache — no staleness heuristics, no manual flushing. Entries are one
-// JSON file each, written atomically, so concurrent writers and a
-// killed sweep both leave the cache consistent.
-//
-// Test binaries and unstamped builds report revision "unknown", and
-// builds from a modified tree report "<rev>-dirty"; entries written by
-// those are only trustworthy within the same build, which is exactly
-// how the tests use them.
+// configuration plus the code identity of the producing binary
+// (Revision, which hashes the executable), so a repeated sweep
+// resolves every already-computed cell to a disk read and any rebuild
+// that changes the code invalidates the whole cache — no staleness
+// heuristics, no manual flushing. Entries are one JSON file each,
+// written atomically, so concurrent writers and a killed sweep both
+// leave the cache consistent.
 type RunCache struct {
 	dir string
 	rev string
@@ -46,7 +42,8 @@ func OpenRunCache(dir string) (*RunCache, error) {
 }
 
 // Key returns the content address of cfg under this binary: the
-// hex SHA-256 of the canonical (JSON) configuration and the revision.
+// hex SHA-256 of the canonical (JSON) configuration and the code
+// identity.
 // Every field of core.Config participates — two configs differing in
 // any knob, including observation-only ones, are distinct entries.
 func (c *RunCache) Key(cfg core.Config) string {
@@ -86,9 +83,9 @@ func (c *RunCache) Load(cfg core.Config) (*core.Result, bool, error) {
 		return nil, false, fmt.Errorf("obs: run cache: entry %s is malformed: %w", key, err)
 	}
 	if ent.Schema != SchemaVersion {
-		// A schema change without a revision change can only happen in
-		// unstamped builds; treat the stale entry as a miss so the run
-		// is simply recomputed and overwritten.
+		// A schema change always changes the executable, hence the key;
+		// a stale entry at this key is treated as a miss, recomputed and
+		// overwritten.
 		return nil, false, nil
 	}
 	if ent.Run.Config != cfg {

@@ -3,6 +3,7 @@ package obs
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -142,5 +143,44 @@ func TestRunCacheSweepResume(t *testing.T) {
 		a := FromResult(cold.Results["apache4x16p"][p])
 		b := FromResult(warm.Results["apache4x16p"][p])
 		requireEqualRecords(t, a, b)
+	}
+}
+
+// TestRevisionTracksExecutable: the code identity hashes the executable,
+// so two binaries that differ in any byte key the same config to two
+// different cache entries — a rebuilt binary never reads the runs of
+// the old one, even when neither carries a VCS revision.
+func TestRevisionTracksExecutable(t *testing.T) {
+	self, err := os.Executable()
+	if err != nil {
+		t.Skip("no executable path:", err)
+	}
+	data, err := os.ReadFile(self)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	a, b := filepath.Join(dir, "a"), filepath.Join(dir, "b")
+	if err := os.WriteFile(a, data, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(b, append(data, 0), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	revA, revB := exeRevision(a), exeRevision(b)
+	if revA == revB || revA == "exe-unknown" || revB == "exe-unknown" {
+		t.Fatalf("executables differ but identities are %q and %q", revA, revB)
+	}
+	if got := exeRevision(self); got != revA {
+		t.Errorf("byte-identical executables: %q vs %q", got, revA)
+	}
+	if !strings.HasSuffix(Revision(), revA) {
+		t.Errorf("Revision() = %q does not end in this binary's hash %q", Revision(), revA)
+	}
+	cfg := cacheConfig()
+	ca := &RunCache{dir: dir, rev: vcsPrefix() + revA}
+	cb := &RunCache{dir: dir, rev: vcsPrefix() + revB}
+	if ca.Key(cfg) == cb.Key(cfg) {
+		t.Fatal("two executables produced the same cache key")
 	}
 }
