@@ -212,11 +212,19 @@ func runShared(cfgs []core.Config, cache ResultCache, workers int, progress func
 	}
 
 	var mu sync.Mutex
+	report := func(i int) {
+		if progress != nil {
+			progress(i)
+		}
+	}
+	// runGroup runs one group. The caller has already reported the
+	// start of its first member, at claim time and under mu, so groups
+	// report in claim order however the workers interleave afterwards.
 	runGroup := func(members []int) {
-		start := func(i int) {
-			if progress != nil {
+		start := func(k, i int) {
+			if k > 0 {
 				mu.Lock()
-				progress(i)
+				report(i)
 				mu.Unlock()
 			}
 		}
@@ -229,8 +237,8 @@ func runShared(cfgs []core.Config, cache ResultCache, workers int, progress func
 			}
 		}
 		if len(members) == 1 || cfgs[members[0]].WarmupRefs == 0 {
-			for _, i := range members {
-				start(i)
+			for k, i := range members {
+				start(k, i)
 				s, err := core.NewSystem(cfgs[i])
 				if err != nil {
 					errs[i] = err
@@ -266,8 +274,8 @@ func runShared(cfgs []core.Config, cache ResultCache, workers int, progress func
 			fail(err)
 			return
 		}
-		for _, i := range members {
-			start(i)
+		for k, i := range members {
+			start(k, i)
 			fs, err := snapshot.Fork(st, cfgs[i])
 			if err != nil {
 				errs[i] = err
@@ -280,6 +288,7 @@ func runShared(cfgs []core.Config, cache ResultCache, workers int, progress func
 
 	if workers <= 1 {
 		for _, g := range groups {
+			report(g[0])
 			runGroup(g)
 		}
 	} else {
@@ -299,6 +308,7 @@ func runShared(cfgs []core.Config, cache ResultCache, workers int, progress func
 					}
 					g := next
 					next++
+					report(groups[g][0])
 					mu.Unlock()
 					runGroup(groups[g])
 				}
