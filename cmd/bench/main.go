@@ -4,9 +4,10 @@
 // and writes the numbers as JSON, stamped with the code identity of
 // the binary (obs.Revision). -smoke shrinks the reference budget for
 // CI. -compare diffs the fresh numbers against a baseline file and
-// fails on a throughput regression beyond the tolerance; numbers only
-// compare when both files come from the same host, back to back (CI
-// runs the merge base and the head on one runner).
+// fails on a throughput regression or a live-heap growth beyond the
+// tolerance; numbers only compare when both files come from the same
+// host, back to back (CI runs the merge base and the head on one
+// runner).
 package main
 
 import (
@@ -34,13 +35,15 @@ type KernelBench struct {
 	EventsPerSec float64 `json:"events_per_sec"`
 }
 
-// ProtoBench reports one protocol's end-to-end throughput.
+// ProtoBench reports one protocol's end-to-end throughput and the live
+// heap of its system after the run.
 type ProtoBench struct {
 	Cycles     uint64  `json:"cycles"`
 	Refs       uint64  `json:"refs"`
 	Events     uint64  `json:"kernel_events"`
 	WallMS     float64 `json:"wall_ms"`
 	RefsPerSec float64 `json:"refs_per_sec"`
+	HeapMB     float64 `json:"heap_mb"` // HeapAlloc after a GC, system still reachable
 }
 
 // EndToEnd reports the 4-protocol default-workload sweep.
@@ -69,8 +72,8 @@ func main() {
 	smoke := flag.Bool("smoke", false, "reduced budget for CI (fast, noisier numbers)")
 	reps := flag.Int("reps", 0, "timed repetitions per protocol, best kept (0 = 3 full / 1 smoke)")
 	out := flag.String("out", "BENCH_10.json", "output file")
-	compare := flag.String("compare", "", "baseline bench JSON from the same host (e.g. the merge base, run just before) to diff against; exits 1 on a throughput regression beyond -tolerance")
-	tolerance := flag.Float64("tolerance", 0.15, "with -compare: maximum fractional throughput regression per benchmark")
+	compare := flag.String("compare", "", "baseline bench JSON from the same host (e.g. the merge base, run just before) to diff against; exits 1 on a throughput regression or live-heap growth beyond -tolerance")
+	tolerance := flag.Float64("tolerance", 0.15, "with -compare: maximum fractional throughput regression or live-heap growth per benchmark")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the end-to-end sweep to this file (analyze with `go tool pprof`)")
 	memprofile := flag.String("memprofile", "", "write an allocation profile (after the sweep) to this file")
 	obsOn := flag.Bool("obs", false, "arm per-VM attribution and epoch sampling during the end-to-end sweep — compare against an unarmed baseline to measure observability overhead")
@@ -150,9 +153,10 @@ func main() {
 }
 
 // compareBench prints per-benchmark deltas of fresh against the saved
-// baseline and returns an error if any throughput regressed by more
-// than tolerance. Wall-clock numbers depend on the reference budget,
-// so baselines recorded in a different mode only warn.
+// baseline and returns an error if any throughput regressed, or any
+// protocol's live heap grew, by more than tolerance. Wall-clock numbers
+// depend on the reference budget, so baselines recorded in a different
+// mode only warn. A baseline without heap numbers skips the heap rows.
 func compareBench(path string, fresh *Bench, tolerance float64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -181,10 +185,12 @@ func compareBench(path string, fresh *Bench, tolerance float64) error {
 			base.EndToEnd.Instrument, fresh.EndToEnd.Instrument)
 	}
 	type row struct {
-		name      string
-		base, cur float64 // higher is better (throughput)
+		name        string
+		base, cur   float64
+		lowerBetter bool // live heap; throughput is higher-better
 	}
-	rows := []row{{"kernel events/s", base.Kernel.EventsPerSec, fresh.Kernel.EventsPerSec}}
+	rows := []row{{"kernel events/s", base.Kernel.EventsPerSec, fresh.Kernel.EventsPerSec, false}}
+	var heapRows []row
 	for _, p := range core.ProtocolNames {
 		bp, ok := base.EndToEnd.Protocols[p]
 		cp, ok2 := fresh.EndToEnd.Protocols[p]
@@ -192,18 +198,28 @@ func compareBench(path string, fresh *Bench, tolerance float64) error {
 			fmt.Printf("  %-18s missing from %s\n", p, map[bool]string{true: "baseline", false: "current run"}[!ok])
 			continue
 		}
-		rows = append(rows, row{p + " refs/s", bp.RefsPerSec, cp.RefsPerSec})
+		rows = append(rows, row{p + " refs/s", bp.RefsPerSec, cp.RefsPerSec, false})
+		if bp.HeapMB > 0 {
+			heapRows = append(heapRows, row{p + " heap MB", bp.HeapMB, cp.HeapMB, true})
+		} else {
+			fmt.Printf("  %-18s missing from baseline\n", p+" heap MB")
+		}
 	}
-	rows = append(rows, row{"total refs/s", base.EndToEnd.RefsPerSec, fresh.EndToEnd.RefsPerSec})
+	rows = append(rows, row{"total refs/s", base.EndToEnd.RefsPerSec, fresh.EndToEnd.RefsPerSec, false})
+	rows = append(rows, heapRows...)
 	var regressed []string
 	deltas := map[string]float64{}
 	for _, r := range rows {
 		delta := r.cur/r.base - 1
 		deltas[r.name] = delta
 		mark := ""
-		if delta < -tolerance {
+		worse := -delta
+		if r.lowerBetter {
+			worse = delta
+		}
+		if worse > tolerance {
 			mark = "  << regression"
-			regressed = append(regressed, fmt.Sprintf("%s %.1f%%", r.name, -delta*100))
+			regressed = append(regressed, fmt.Sprintf("%s %+.1f%%", r.name, delta*100))
 		}
 		fmt.Printf("  %-18s %12.0f -> %12.0f  %+6.1f%%%s\n", r.name, r.base, r.cur, delta*100, mark)
 	}
@@ -232,7 +248,7 @@ func compareBench(path string, fresh *Bench, tolerance float64) error {
 		fmt.Printf("compare-summary: %s\n", line)
 	}
 	if len(regressed) > 0 && comparable {
-		return fmt.Errorf("throughput regressed beyond %.0f%%: %s", tolerance*100, strings.Join(regressed, ", "))
+		return fmt.Errorf("regressed beyond %.0f%%: %s", tolerance*100, strings.Join(regressed, ", "))
 	}
 	return nil
 }
@@ -267,6 +283,8 @@ func kernelBench(events uint64) KernelBench {
 // wall clock: a single timed run absorbs whatever garbage the previous
 // protocol left plus its own cold page faults, which showed up as
 // 10-20% run-to-run swings that have nothing to do with the simulator.
+// After the last rep, with its system still reachable, a GC and a
+// HeapAlloc reading give the protocol's live heap.
 func endToEnd(refs, warmup, reps int, instrument bool) (EndToEnd, error) {
 	base := core.DefaultConfig()
 	base.RefsPerCore = refs
@@ -292,18 +310,33 @@ func endToEnd(refs, warmup, reps int, instrument bool) (EndToEnd, error) {
 		cfg := base
 		cfg.Protocol = p
 		fmt.Fprintf(os.Stderr, "running %s / %s (%d reps)...\n", cfg.Workload, p, reps)
+		if err := cfg.Validate(); err != nil {
+			return e, err
+		}
 		var bestRes *core.Result
 		var bestWall time.Duration
+		var heapMB float64
 		for rep := 0; rep < reps; rep++ {
 			runtime.GC()
 			start := time.Now()
-			res, err := core.Run(cfg)
+			sys, err := core.NewSystem(cfg)
+			if err != nil {
+				return e, err
+			}
+			res, err := sys.Run()
 			if err != nil {
 				return e, err
 			}
 			wall := time.Since(start)
 			if bestRes == nil || wall < bestWall {
 				bestRes, bestWall = res, wall
+			}
+			if rep == reps-1 {
+				runtime.GC()
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				heapMB = float64(ms.HeapAlloc) / (1 << 20)
+				runtime.KeepAlive(sys)
 			}
 		}
 		totalRefs += bestRes.Refs
@@ -314,7 +347,9 @@ func endToEnd(refs, warmup, reps int, instrument bool) (EndToEnd, error) {
 			Events:     bestRes.Events,
 			WallMS:     float64(bestWall.Nanoseconds()) / 1e6,
 			RefsPerSec: float64(bestRes.Refs) / bestWall.Seconds(),
+			HeapMB:     heapMB,
 		}
+		fmt.Fprintf(os.Stderr, "  %s live heap %.1f MB\n", p, heapMB)
 	}
 	e.RefsPerSec = float64(totalRefs) / totalWall.Seconds()
 	return e, nil

@@ -293,6 +293,43 @@ func BenchmarkCacheLookupHit(b *testing.B) {
 	}
 }
 
+// BenchmarkCacheMissFill is the miss path: Probe a block that is
+// absent from a full set, then Fill the LRU victim. Every way is bound
+// before the timer starts, so the loop must not allocate.
+func BenchmarkCacheMissFill(b *testing.B) {
+	c := New("l2", 1024, 8)
+	for i := Addr(0); i < 8192; i++ {
+		fillBlock(c, i, 1)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := Addr(8192 + i)
+		if l, hit, _ := c.Probe(a); !hit {
+			c.Fill(l, a, 1)
+		}
+	}
+}
+
+// BenchmarkDirCacheMissFill is BenchmarkCacheMissFill for the directory
+// cache, whose victim scans read the dense LRU array.
+func BenchmarkDirCacheMissFill(b *testing.B) {
+	d := NewDirCache("dir", 1024, 9)
+	for i := Addr(0); i < 1024*9; i++ {
+		e, _, _, _ := d.Probe(i)
+		d.Fill(e, i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := Addr(1024*9 + i)
+		if e, _, hit, _ := d.Probe(a); !hit {
+			d.Fill(e, a)
+			e.Sharers, e.Owner = 1, -1
+		}
+	}
+}
+
 func BenchmarkPointerCacheUpdate(b *testing.B) {
 	p := NewPointerCache("l1c", 512, 4)
 	for i := 0; i < b.N; i++ {

@@ -1,58 +1,57 @@
 package cache
 
-import (
-	"fmt"
-	"unsafe"
-)
+import "unsafe"
 
-// DirEntry is the payload of one directory-cache way: the tracked
-// block's sharer vector and owner pointer, with the way's LRU stamp
-// interleaved. The flat directory touches sharers or owner on nearly
-// every probe that touches the LRU stamp, so keeping the three in one
-// 24-byte record means a home-side directory operation dirties a
-// single cache line of metadata where the generic Cache — whose Line
-// carries DiCo provider state the directory never uses — spreads the
-// same traffic over three arrays.
+// DirEntry is the pooled payload of one directory-cache way: the
+// tracked block's sharer vector and owner pointer, plus the way it
+// belongs to, so Fill and Touch find the way without a search. The LRU
+// stamps live in the directory cache's dense per-way array, so victim
+// scans never touch the pool.
 type DirEntry struct {
-	lru     uint64
 	Sharers uint64
 	Owner   int16
+	way     uint32
 }
 
 // DirCache is the NCID directory cache: a set-associative array with
 // true-LRU replacement, bit-identical in lookup, victim choice and
 // accounting to a generic Cache of the same geometry, but storing only
-// the directory's working fields. The block identity lives in the
-// compact tag mirror (address plus one; zero means empty), exactly as
-// in Cache, so probes scan 8 bytes per way.
+// the directory's working fields. The block identity and pool reference
+// live in the packed probe word, exactly as in Cache, so probes scan 8
+// bytes per way; a way is bound to a pooled DirEntry the first time
+// Probe hands it out and keeps it.
 type DirCache struct {
-	name  string
-	sets  int
+	// The fields a probe reads come first (see Cache).
+	tags  []uint64
+	lru   []uint64
+	ents  pool[DirEntry]
+	mask  Addr // sets-1
 	ways  int
 	shift uint
-	tags  []Addr
-	ents  []DirEntry
 	stamp uint64
 
 	Accesses uint64
 	Misses   uint64
+
+	// handed and handedWay remember the entry Probe last chose for a
+	// fill (see Cache.handed).
+	handed    uintptr
+	handedWay int
+
+	bound int // ways bound to a pooled entry
+	name  string
 }
 
 // NewDirCache returns a directory cache with numSets sets of ways
 // ways. numSets must be a power of two.
 func NewDirCache(name string, numSets, ways int) *DirCache {
-	if numSets <= 0 || numSets&(numSets-1) != 0 {
-		panic(fmt.Sprintf("cache %s: numSets %d not a power of two", name, numSets))
-	}
-	if ways <= 0 {
-		panic(fmt.Sprintf("cache %s: ways must be positive", name))
-	}
+	checkGeometry(name, numSets, ways)
 	return &DirCache{
 		name: name,
-		sets: numSets,
+		mask: Addr(numSets - 1),
 		ways: ways,
-		tags: make([]Addr, numSets*ways),
-		ents: make([]DirEntry, numSets*ways),
+		tags: make([]uint64, numSets*ways),
+		lru:  make([]uint64, numSets*ways),
 	}
 }
 
@@ -60,15 +59,41 @@ func NewDirCache(name string, numSets, ways int) *DirCache {
 // shift (see Cache.SetIndexShift).
 func (c *DirCache) SetIndexShift(shift uint) { c.shift = shift }
 
-func (c *DirCache) setOf(a Addr) int { return int((uint64(a) >> c.shift) & uint64(c.sets-1)) }
+func (c *DirCache) setOf(a Addr) int { return int(a >> c.shift & c.mask) }
+
+// entry returns the entry of a bound way's probe word.
+func (c *DirCache) entry(t uint64) *DirEntry {
+	return &c.ents[t&refMask>>chunkShift][uint8(t)]
+}
+
+// word returns way i's probe word, binding the way to a pooled entry
+// first if it has none.
+func (c *DirCache) word(i int) uint64 {
+	if t := c.tags[i]; t&refMask != 0 {
+		return t
+	}
+	return c.bind(i)
+}
+
+// bind gives the unbound way i a fresh entry from the pool and returns
+// its new probe word.
+//
+//go:noinline
+func (c *DirCache) bind(i int) uint64 {
+	c.bound++
+	ref := uint64(c.bound)
+	c.ents.claim(ref).way = uint32(i)
+	c.tags[i] |= ref
+	return c.tags[i]
+}
 
 // Peek returns the entry tracking a, or nil. No accounting, no LRU
 // update.
 func (c *DirCache) Peek(a Addr) *DirEntry {
 	base := c.setOf(a) * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == a+1 {
-			return &c.ents[base+w]
+	for _, t := range c.tags[base : base+c.ways] {
+		if t>>refBits == uint64(a)+1 {
+			return c.entry(t)
 		}
 	}
 	return nil
@@ -83,50 +108,59 @@ func (c *DirCache) Peek(a Addr) *DirEntry {
 func (c *DirCache) Probe(a Addr) (e *DirEntry, victimAddr Addr, hit, valid bool) {
 	base := c.setOf(a) * c.ways
 	empty := -1
-	for w := 0; w < c.ways; w++ {
-		t := c.tags[base+w]
-		if t == a+1 {
-			return &c.ents[base+w], 0, true, true
+	for w, t := range c.tags[base : base+c.ways] {
+		if t>>refBits == uint64(a)+1 {
+			return c.entry(t), 0, true, true
 		}
-		if t == 0 && empty < 0 {
+		if t>>refBits == 0 && empty < 0 {
 			empty = base + w
 		}
 	}
 	if empty >= 0 {
-		return &c.ents[empty], 0, false, false
+		return c.handOut(empty), 0, false, false
 	}
-	victimIdx := base
-	victimStamp := c.ents[base].lru
-	for w := 1; w < c.ways; w++ {
-		if s := c.ents[base+w].lru; s < victimStamp {
-			victimStamp = s
-			victimIdx = base + w
-		}
-	}
-	return &c.ents[victimIdx], c.tags[victimIdx] - 1, false, true
+	victim := lruWay(c.lru, base, c.ways)
+	return c.handOut(victim), Addr(c.tags[victim]>>refBits) - 1, false, true
+}
+
+// handOut returns way i's entry as the way to fill, binding the way
+// first if it has none, and remembers the pair for Fill.
+func (c *DirCache) handOut(i int) *DirEntry {
+	e := c.entry(c.word(i))
+	c.handed, c.handedWay = uintptr(unsafe.Pointer(e)), i
+	return e
 }
 
 // Touch refreshes the LRU position of e.
 func (c *DirCache) Touch(e *DirEntry) {
+	idx := c.indexOf(e)
 	c.stamp++
-	e.lru = c.stamp
+	c.lru[idx] = c.stamp
 }
 
 // Fill installs block a into entry e (previously obtained from Probe),
 // refreshing LRU. Sharers and Owner are left for the caller to set —
-// every allocation site overwrites both immediately.
+// every allocation site overwrites both immediately. It panics if a is
+// not below AddrLimit.
 func (c *DirCache) Fill(e *DirEntry, a Addr) {
-	c.tags[c.indexOf(e)] = a + 1
+	if a >= AddrLimit {
+		panic(addrError{c.name, a})
+	}
+	idx := c.indexOf(e)
+	c.tags[idx] = c.tags[idx]&refMask | tagOf(a)
 	c.stamp++
-	e.lru = c.stamp
+	c.lru[idx] = c.stamp
 }
 
-// indexOf recovers the backing-array position of an entry returned by
-// Peek/Probe.
+// indexOf returns the way of an entry handed out by Peek/Probe: the
+// memo's, or else the one read from the entry; an entry the way does
+// not own is a bug.
 func (c *DirCache) indexOf(e *DirEntry) int {
-	off := uintptr(unsafe.Pointer(e)) - uintptr(unsafe.Pointer(unsafe.SliceData(c.ents)))
-	idx := int(off / unsafe.Sizeof(DirEntry{}))
-	if idx < 0 || idx >= len(c.ents) || &c.ents[idx] != e {
+	if uintptr(unsafe.Pointer(e)) == c.handed {
+		return c.handedWay
+	}
+	idx := int(e.way)
+	if idx >= len(c.tags) || c.entry(c.tags[idx]) != e {
 		panic("cache: foreign directory entry")
 	}
 	return idx
@@ -139,48 +173,50 @@ func (c *DirCache) indexOf(e *DirEntry) int {
 // directory never invalidates entries, so no third shape exists).
 func (c *DirCache) State() *CacheState {
 	st := &CacheState{
-		Sets:     c.sets,
+		Sets:     int(c.mask) + 1,
 		Ways:     c.ways,
-		Lines:    make([]Line, len(c.ents)),
-		LRU:      make([]uint64, len(c.ents)),
+		Lines:    make([]Line, len(c.tags)),
+		LRU:      make([]uint64, len(c.tags)),
 		Stamp:    c.stamp,
 		Accesses: c.Accesses,
 		Misses:   c.Misses,
 	}
-	for i := range c.ents {
-		st.LRU[i] = c.ents[i].lru
-		if c.tags[i] == 0 {
+	copy(st.LRU, c.lru)
+	for i, t := range c.tags {
+		if t>>refBits == 0 {
 			continue
 		}
+		e := c.entry(t)
 		l := &st.Lines[i]
-		l.Addr = c.tags[i] - 1
+		l.Addr = Addr(t>>refBits) - 1
 		l.State = 1
 		l.ResetMeta()
-		l.Sharers = c.ents[i].Sharers
-		l.Owner = c.ents[i].Owner
+		l.Sharers = e.Sharers
+		l.Owner = e.Owner
 	}
 	return st
 }
 
 // RestoreState overwrites the directory cache's contents with a
-// captured state of matching geometry.
+// captured state of matching geometry. Only the ways whose captured
+// line is valid are bound to a pooled entry; a way that is already
+// bound keeps its entry and takes the captured fields.
 func (c *DirCache) RestoreState(st *CacheState) error {
-	if st.Sets != c.sets || st.Ways != c.ways {
-		return fmt.Errorf("cache %s: geometry mismatch: snapshot %dx%d, cache %dx%d",
-			c.name, st.Sets, st.Ways, c.sets, c.ways)
+	if err := st.check(c.name, int(c.mask)+1, c.ways); err != nil {
+		return err
 	}
-	if len(st.Lines) != len(c.ents) || len(st.LRU) != len(c.ents) {
-		return fmt.Errorf("cache %s: snapshot size mismatch", c.name)
-	}
-	for i := range c.ents {
+	for i := range st.Lines {
 		l := &st.Lines[i]
-		if l.Valid() {
-			c.tags[i] = l.Addr + 1
-		} else {
-			c.tags[i] = 0
+		c.tags[i] &= refMask
+		if c.tags[i] != 0 || l.Valid() {
+			e := c.entry(c.word(i))
+			e.Sharers, e.Owner = l.Sharers, l.Owner
 		}
-		c.ents[i] = DirEntry{lru: st.LRU[i], Sharers: l.Sharers, Owner: l.Owner}
+		if l.Valid() {
+			c.tags[i] |= tagOf(l.Addr)
+		}
 	}
+	copy(c.lru, st.LRU)
 	c.stamp = st.Stamp
 	c.Accesses = st.Accesses
 	c.Misses = st.Misses

@@ -5,15 +5,15 @@ package cache
 // set-associative array mapping block addresses to a GenPo (a tile
 // number). In the L1C$ the pointer is a *prediction* of the block's
 // supplier; in the L2C$ it is the *precise* identity of the L1 cache
-// holding ownership.
+// holding ownership. A way's tag is the block address plus one, zero
+// meaning empty, as in Cache and DirCache.
 type PointerCache struct {
 	name  string
 	sets  int
 	ways  int
 	shift uint
-	addrs []Addr
+	tags  []Addr
 	ptrs  []int16
-	valid []bool
 	lru   []uint64
 	stamp uint64
 
@@ -25,21 +25,15 @@ type PointerCache struct {
 // NewPointerCache returns a pointer cache with numSets (power of two)
 // sets of ways ways.
 func NewPointerCache(name string, numSets, ways int) *PointerCache {
-	if numSets <= 0 || numSets&(numSets-1) != 0 {
-		panic("cache: pointer cache sets not a power of two")
-	}
-	if ways <= 0 {
-		panic("cache: pointer cache ways must be positive")
-	}
+	checkGeometry(name, numSets, ways)
 	n := numSets * ways
 	return &PointerCache{
-		name:  name,
-		sets:  numSets,
-		ways:  ways,
-		addrs: make([]Addr, n),
-		ptrs:  make([]int16, n),
-		valid: make([]bool, n),
-		lru:   make([]uint64, n),
+		name: name,
+		sets: numSets,
+		ways: ways,
+		tags: make([]Addr, n),
+		ptrs: make([]int16, n),
+		lru:  make([]uint64, n),
 	}
 }
 
@@ -61,7 +55,7 @@ func (p *PointerCache) Lookup(a Addr) (ptr int16, ok bool) {
 	base := p.setOf(a) * p.ways
 	for w := 0; w < p.ways; w++ {
 		i := base + w
-		if p.valid[i] && p.addrs[i] == a {
+		if p.tags[i] == a+1 {
 			p.stamp++
 			p.lru[i] = p.stamp
 			p.Hits++
@@ -83,13 +77,13 @@ func (p *PointerCache) Update(a Addr, ptr int16) (evicted Addr, evictedPtr int16
 	var victimStamp uint64 = ^uint64(0)
 	for w := 0; w < p.ways; w++ {
 		i := base + w
-		if p.valid[i] && p.addrs[i] == a {
+		if p.tags[i] == a+1 {
 			p.ptrs[i] = ptr
 			p.stamp++
 			p.lru[i] = p.stamp
 			return 0, 0, false
 		}
-		if !p.valid[i] {
+		if p.tags[i] == 0 {
 			if freeIdx < 0 {
 				freeIdx = i
 			}
@@ -101,13 +95,12 @@ func (p *PointerCache) Update(a Addr, ptr int16) (evicted Addr, evictedPtr int16
 	idx := freeIdx
 	if idx < 0 {
 		idx = victimIdx
-		evicted = p.addrs[idx]
+		evicted = p.tags[idx] - 1
 		evictedPtr = p.ptrs[idx]
 		displaced = true
 	}
-	p.addrs[idx] = a
+	p.tags[idx] = a + 1
 	p.ptrs[idx] = ptr
-	p.valid[idx] = true
 	p.stamp++
 	p.lru[idx] = p.stamp
 	return evicted, evictedPtr, displaced
@@ -118,8 +111,8 @@ func (p *PointerCache) Invalidate(a Addr) bool {
 	base := p.setOf(a) * p.ways
 	for w := 0; w < p.ways; w++ {
 		i := base + w
-		if p.valid[i] && p.addrs[i] == a {
-			p.valid[i] = false
+		if p.tags[i] == a+1 {
+			p.tags[i] = 0
 			return true
 		}
 	}
@@ -129,8 +122,8 @@ func (p *PointerCache) Invalidate(a Addr) bool {
 // CountValid returns the number of valid entries.
 func (p *PointerCache) CountValid() int {
 	n := 0
-	for _, v := range p.valid {
-		if v {
+	for _, t := range p.tags {
+		if t != 0 {
 			n++
 		}
 	}

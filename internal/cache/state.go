@@ -5,8 +5,10 @@ import "fmt"
 // This file provides the snapshot surface of the storage structures:
 // pure-data state types captured at the warmup/measure boundary and
 // restored into freshly built structures of identical geometry. The
-// compact tag mirror is derived state, so restore rebuilds it from the
-// copied lines rather than serializing it.
+// captured form is dense — one Line per way, a zero Line for a way
+// that was never handed out — and the probe words are derived state,
+// so restore rebuilds them from the copied lines rather than
+// serializing them.
 
 // CacheState is the serializable state of a Cache.
 type CacheState struct {
@@ -21,43 +23,65 @@ type CacheState struct {
 // State returns a deep copy of the cache's contents and counters.
 func (c *Cache) State() *CacheState {
 	st := &CacheState{
-		Sets:     c.sets,
+		Sets:     c.Sets(),
 		Ways:     c.ways,
-		Lines:    make([]Line, len(c.lines)),
+		Lines:    make([]Line, len(c.tags)),
 		LRU:      make([]uint64, len(c.tags)),
 		Stamp:    c.stamp,
 		Accesses: c.Accesses,
 		Misses:   c.Misses,
 	}
-	copy(st.Lines, c.lines)
-	for i := range c.tags {
-		st.LRU[i] = c.lru[i]
+	for i, t := range c.tags {
+		if t&refMask != 0 {
+			st.Lines[i] = *c.line(t)
+		}
 	}
+	copy(st.LRU, c.lru)
 	return st
 }
 
 // RestoreState overwrites the cache's contents and counters with a
 // captured state. The geometry must match the cache's construction.
+// Only the ways whose captured line is non-zero are bound to a pooled
+// Line; a way that is already bound keeps its Line and takes the
+// captured contents.
 func (c *Cache) RestoreState(st *CacheState) error {
-	if st.Sets != c.sets || st.Ways != c.ways {
-		return fmt.Errorf("cache %s: geometry mismatch: snapshot %dx%d, cache %dx%d",
-			c.name, st.Sets, st.Ways, c.sets, c.ways)
+	if err := st.check(c.name, c.Sets(), c.ways); err != nil {
+		return err
 	}
-	if len(st.Lines) != len(c.lines) || len(st.LRU) != len(c.tags) {
-		return fmt.Errorf("cache %s: snapshot size mismatch", c.name)
-	}
-	copy(c.lines, st.Lines)
-	for i := range c.lines {
-		if c.lines[i].Valid() {
-			c.tags[i] = c.lines[i].Addr + 1
-		} else {
-			c.tags[i] = 0
+	for i := range st.Lines {
+		sl := &st.Lines[i]
+		c.tags[i] &= refMask
+		if c.tags[i] != 0 || *sl != (Line{}) {
+			*c.line(c.word(i)) = *sl
 		}
-		c.lru[i] = st.LRU[i]
+		if sl.Valid() {
+			c.tags[i] |= tagOf(sl.Addr)
+		}
 	}
+	copy(c.lru, st.LRU)
 	c.stamp = st.Stamp
 	c.Accesses = st.Accesses
 	c.Misses = st.Misses
+	return nil
+}
+
+// check reports a state that cannot be restored into a structure of
+// the given name and geometry: a different shape, or a valid line whose
+// address the packed tag cannot hold.
+func (st *CacheState) check(name string, sets, ways int) error {
+	if st.Sets != sets || st.Ways != ways {
+		return fmt.Errorf("cache %s: geometry mismatch: snapshot %dx%d, cache %dx%d",
+			name, st.Sets, st.Ways, sets, ways)
+	}
+	if len(st.Lines) != sets*ways || len(st.LRU) != sets*ways {
+		return fmt.Errorf("cache %s: snapshot size mismatch", name)
+	}
+	for i := range st.Lines {
+		if l := &st.Lines[i]; l.Valid() && l.Addr >= AddrLimit {
+			return fmt.Errorf("cache %s: snapshot block address %#x beyond the tag limit", name, l.Addr)
+		}
+	}
 	return nil
 }
 
@@ -74,22 +98,27 @@ type PointerCacheState struct {
 	Updates    uint64
 }
 
-// State returns a deep copy of the pointer cache's contents.
+// State returns a deep copy of the pointer cache's contents. Addrs and
+// Valid are derived from the tags; an invalid entry captures address 0.
 func (p *PointerCache) State() *PointerCacheState {
 	st := &PointerCacheState{
 		Sets: p.sets, Ways: p.ways,
-		Addrs:    make([]Addr, len(p.addrs)),
+		Addrs:    make([]Addr, len(p.tags)),
 		Ptrs:     make([]int16, len(p.ptrs)),
-		Valid:    make([]bool, len(p.valid)),
+		Valid:    make([]bool, len(p.tags)),
 		LRU:      make([]uint64, len(p.lru)),
 		Stamp:    p.stamp,
 		Accesses: p.Accesses,
 		Hits:     p.Hits,
 		Updates:  p.Updates,
 	}
-	copy(st.Addrs, p.addrs)
+	for i, t := range p.tags {
+		if t != 0 {
+			st.Addrs[i] = t - 1
+			st.Valid[i] = true
+		}
+	}
 	copy(st.Ptrs, p.ptrs)
-	copy(st.Valid, p.valid)
 	copy(st.LRU, p.lru)
 	return st
 }
@@ -101,12 +130,17 @@ func (p *PointerCache) RestoreState(st *PointerCacheState) error {
 		return fmt.Errorf("cache %s: geometry mismatch: snapshot %dx%d, cache %dx%d",
 			p.name, st.Sets, st.Ways, p.sets, p.ways)
 	}
-	if len(st.Addrs) != len(p.addrs) {
+	n := len(p.tags)
+	if len(st.Addrs) != n || len(st.Valid) != n || len(st.Ptrs) != n || len(st.LRU) != n {
 		return fmt.Errorf("cache %s: snapshot size mismatch", p.name)
 	}
-	copy(p.addrs, st.Addrs)
+	for i, v := range st.Valid {
+		p.tags[i] = 0
+		if v {
+			p.tags[i] = st.Addrs[i] + 1
+		}
+	}
 	copy(p.ptrs, st.Ptrs)
-	copy(p.valid, st.Valid)
 	copy(p.lru, st.LRU)
 	p.stamp = st.Stamp
 	p.Accesses = st.Accesses
