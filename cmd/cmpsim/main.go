@@ -73,11 +73,22 @@ func main() {
 			}
 		}
 	}
-	results, systems, err := exp.RunSystems(cfgs, *workers, func(i int, s *core.System) {
-		fmt.Fprintf(os.Stderr, "running %s / %s...\n", cfgs[i].Workload, cfgs[i].Protocol)
-		if live != nil && s.Sampler != nil {
-			live.Attach(s.Sampler, cfgs[i].Protocol, cfgs[i].Workload, s.Net.Grid())
+	// Runs are claimed in order but may finish building in any order:
+	// each system takes the first free slot holding its config.
+	systems := make([]*core.System, len(cfgs))
+	onSystem := func(s *core.System) {
+		for i := range cfgs {
+			if systems[i] == nil && cfgs[i] == s.Cfg {
+				systems[i] = s
+				break
+			}
 		}
+		if live != nil && s.Sampler != nil {
+			live.Attach(s.Sampler, s.Cfg.Protocol, s.Cfg.Workload, s.Net.Grid())
+		}
+	}
+	results, _, err := exp.RunConfigs(cfgs, exp.Options{Workers: *workers, OnSystem: onSystem}, func(i int) {
+		fmt.Fprintf(os.Stderr, "running %s / %s...\n", cfgs[i].Workload, cfgs[i].Protocol)
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cmpsim:", err)

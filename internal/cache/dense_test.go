@@ -5,7 +5,7 @@ import "unsafe"
 // This file keeps the dense layout the pooled Cache and DirCache
 // replaced — a Line (or directory entry) per way, allocated up front —
 // as reference models for the differential tests. Victim choice, LRU
-// and the snapshot form are defined by these.
+// and the dense contents form are defined by these.
 
 type denseCache struct {
 	sets, ways int
@@ -135,28 +135,14 @@ func (c *denseCache) ForEachValid(fn func(*Line)) {
 	}
 }
 
-func (c *denseCache) State() *CacheState {
-	st := &CacheState{
-		Sets: c.sets, Ways: c.ways,
+func (c *denseCache) contents() *contents {
+	return &contents{
 		Lines:    append([]Line(nil), c.lines...),
 		LRU:      append([]uint64(nil), c.lru...),
 		Stamp:    c.stamp,
 		Accesses: c.Accesses,
 		Misses:   c.Misses,
 	}
-	return st
-}
-
-func (c *denseCache) RestoreState(st *CacheState) {
-	copy(c.lines, st.Lines)
-	copy(c.lru, st.LRU)
-	for i := range c.lines {
-		c.tags[i] = 0
-		if c.lines[i].Valid() {
-			c.tags[i] = c.lines[i].Addr + 1
-		}
-	}
-	c.stamp, c.Accesses, c.Misses = st.Stamp, st.Accesses, st.Misses
 }
 
 // denseDirEntry is the reference directory way: LRU stamp interleaved
@@ -231,36 +217,72 @@ func (c *denseDirCache) indexOf(e *denseDirEntry) int {
 	return int(off / unsafe.Sizeof(denseDirEntry{}))
 }
 
-func (c *denseDirCache) State() *CacheState {
-	st := &CacheState{
-		Sets: c.sets, Ways: c.ways,
+func (c *denseDirCache) contents() *contents {
+	ct := &contents{
 		Lines: make([]Line, len(c.ents)),
 		LRU:   make([]uint64, len(c.ents)),
 		Stamp: c.stamp,
 	}
 	for i := range c.ents {
-		st.LRU[i] = c.ents[i].lru
-		if c.tags[i] == 0 {
-			continue
+		ct.LRU[i] = c.ents[i].lru
+		if c.tags[i] != 0 {
+			ct.Lines[i] = dirLine(c.tags[i]-1, c.ents[i].Sharers, c.ents[i].Owner)
 		}
-		l := &st.Lines[i]
-		l.Addr = c.tags[i] - 1
-		l.State = 1
-		l.ResetMeta()
-		l.Sharers = c.ents[i].Sharers
-		l.Owner = c.ents[i].Owner
 	}
-	return st
+	return ct
 }
 
-func (c *denseDirCache) RestoreState(st *CacheState) {
-	for i := range c.ents {
-		l := &st.Lines[i]
-		c.tags[i] = 0
-		if l.Valid() {
-			c.tags[i] = l.Addr + 1
-		}
-		c.ents[i] = denseDirEntry{lru: st.LRU[i], Sharers: l.Sharers, Owner: l.Owner}
+// contents is the dense form both models are compared in: one Line
+// per way (a zero Line for a way never handed out), the LRU stamps and
+// the counters.
+type contents struct {
+	Lines    []Line
+	LRU      []uint64
+	Stamp    uint64
+	Accesses uint64
+	Misses   uint64
+}
+
+// cacheContents reads a pooled Cache in the dense form.
+func cacheContents(c *Cache) *contents {
+	ct := &contents{
+		Lines:    make([]Line, len(c.tags)),
+		LRU:      append([]uint64(nil), c.lru...),
+		Stamp:    c.stamp,
+		Accesses: c.Accesses,
+		Misses:   c.Misses,
 	}
-	c.stamp = st.Stamp
+	for i, t := range c.tags {
+		if t&refMask != 0 {
+			ct.Lines[i] = *c.line(t)
+		}
+	}
+	return ct
+}
+
+// dirContents reads a pooled DirCache in the dense form, as the Lines
+// a generic Cache of the same geometry would hold: filled ways carry
+// the tracked block, state 1 and ResetMeta defaults.
+func dirContents(c *DirCache) *contents {
+	ct := &contents{
+		Lines:    make([]Line, len(c.tags)),
+		LRU:      append([]uint64(nil), c.lru...),
+		Stamp:    c.stamp,
+		Accesses: c.Accesses,
+		Misses:   c.Misses,
+	}
+	for i, t := range c.tags {
+		if t>>refBits != 0 {
+			e := c.entry(t)
+			ct.Lines[i] = dirLine(Addr(t>>refBits)-1, e.Sharers, e.Owner)
+		}
+	}
+	return ct
+}
+
+func dirLine(a Addr, sharers uint64, owner int16) Line {
+	l := Line{Addr: a, State: 1}
+	l.ResetMeta()
+	l.Sharers, l.Owner = sharers, owner
+	return l
 }

@@ -165,60 +165,3 @@ func (c *DirCache) indexOf(e *DirEntry) int {
 	}
 	return idx
 }
-
-// State returns the directory cache's contents as a generic
-// CacheState, reconstructing the Line form a generic Cache of the same
-// geometry would have held: filled ways carry the tracked address,
-// state 1 and ResetMeta defaults; empty ways are zero Lines (the
-// directory never invalidates entries, so no third shape exists).
-func (c *DirCache) State() *CacheState {
-	st := &CacheState{
-		Sets:     int(c.mask) + 1,
-		Ways:     c.ways,
-		Lines:    make([]Line, len(c.tags)),
-		LRU:      make([]uint64, len(c.tags)),
-		Stamp:    c.stamp,
-		Accesses: c.Accesses,
-		Misses:   c.Misses,
-	}
-	copy(st.LRU, c.lru)
-	for i, t := range c.tags {
-		if t>>refBits == 0 {
-			continue
-		}
-		e := c.entry(t)
-		l := &st.Lines[i]
-		l.Addr = Addr(t>>refBits) - 1
-		l.State = 1
-		l.ResetMeta()
-		l.Sharers = e.Sharers
-		l.Owner = e.Owner
-	}
-	return st
-}
-
-// RestoreState overwrites the directory cache's contents with a
-// captured state of matching geometry. Only the ways whose captured
-// line is valid are bound to a pooled entry; a way that is already
-// bound keeps its entry and takes the captured fields.
-func (c *DirCache) RestoreState(st *CacheState) error {
-	if err := st.check(c.name, int(c.mask)+1, c.ways); err != nil {
-		return err
-	}
-	for i := range st.Lines {
-		l := &st.Lines[i]
-		c.tags[i] &= refMask
-		if c.tags[i] != 0 || l.Valid() {
-			e := c.entry(c.word(i))
-			e.Sharers, e.Owner = l.Sharers, l.Owner
-		}
-		if l.Valid() {
-			c.tags[i] |= tagOf(l.Addr)
-		}
-	}
-	copy(c.lru, st.LRU)
-	c.stamp = st.Stamp
-	c.Accesses = st.Accesses
-	c.Misses = st.Misses
-	return nil
-}

@@ -23,7 +23,7 @@ type linePair struct {
 
 // TestCachePooledMatchesDense drives random operation sequences
 // against the pooled Cache and the dense reference and requires
-// identical results, counters and snapshots at every step.
+// identical results, counters and contents at every step.
 func TestCachePooledMatchesDense(t *testing.T) {
 	for _, g := range geometries {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -63,10 +63,9 @@ func runCacheDifferential(t *testing.T, sets, ways int, shift uint, seed int64, 
 		}
 		return held[rng.Intn(len(held))], true
 	}
-	var saved *CacheState
 	for step := 0; step < steps; step++ {
 		a := Addr(rng.Int63n(int64(span)))
-		switch op := rng.Intn(11); op {
+		switch op := rng.Intn(10); op {
 		case 0:
 			hold(p.Lookup(a), d.Lookup(a))
 		case 1:
@@ -121,23 +120,6 @@ func runCacheDifferential(t *testing.T, sets, ways int, shift uint, seed int64, 
 				}
 			}
 		case 9:
-			// Capture now, restore later into the same (since changed)
-			// structures, or into fresh ones.
-			if saved == nil || rng.Intn(2) == 0 {
-				saved = p.State()
-				break
-			}
-			if rng.Intn(2) == 0 {
-				p, d = New("p", sets, ways), newDenseCache(sets, ways)
-				p.SetIndexShift(shift)
-				d.shift = shift
-				held = nil
-			}
-			if err := p.RestoreState(saved); err != nil {
-				t.Fatal(err)
-			}
-			d.RestoreState(saved)
-		case 10:
 			if cp, cd := p.CountValid(), d.CountValid(); cp != cd {
 				t.Fatalf("step %d CountValid: pooled %d, dense %d", step, cp, cd)
 			}
@@ -151,8 +133,8 @@ func runCacheDifferential(t *testing.T, sets, ways int, shift uint, seed int64, 
 		if p.Accesses != d.Accesses || p.Misses != d.Misses {
 			t.Fatalf("step %d: accesses/misses pooled %d/%d, dense %d/%d", step, p.Accesses, p.Misses, d.Accesses, d.Misses)
 		}
-		if sp, sd := p.State(), d.State(); !reflect.DeepEqual(sp, sd) {
-			t.Fatalf("step %d: State differs", step)
+		if cp, cd := cacheContents(p), d.contents(); !reflect.DeepEqual(cp, cd) {
+			t.Fatalf("step %d: contents differ", step)
 		}
 		if p.bound > p.Capacity() {
 			t.Fatalf("step %d: %d ways bound, capacity %d", step, p.bound, p.Capacity())
@@ -167,7 +149,7 @@ type entryPair struct {
 
 // TestDirCachePooledMatchesDense is the differential test for the
 // directory cache: Peek, Probe (with victim address), Fill, Touch,
-// writes through held entries and snapshot round trips.
+// writes through held entries.
 func TestDirCachePooledMatchesDense(t *testing.T) {
 	for _, g := range geometries {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -200,10 +182,9 @@ func runDirDifferential(t *testing.T, sets, ways int, shift uint, seed int64, st
 			held = held[1:]
 		}
 	}
-	var saved *CacheState
 	for step := 0; step < steps; step++ {
 		a := Addr(rng.Int63n(int64(span)))
-		switch rng.Intn(6) {
+		switch rng.Intn(5) {
 		case 0:
 			hold(p.Peek(a), d.Peek(a))
 		case 1, 2:
@@ -232,24 +213,9 @@ func runDirDifferential(t *testing.T, sets, ways int, shift uint, seed int64, st
 				sh := rng.Uint64()
 				h.p.Sharers, h.d.Sharers = sh, sh
 			}
-		case 5:
-			if saved == nil || rng.Intn(2) == 0 {
-				saved = p.State()
-				break
-			}
-			if rng.Intn(2) == 0 {
-				p, d = NewDirCache("p", sets, ways), newDenseDirCache(sets, ways)
-				p.SetIndexShift(shift)
-				d.shift = shift
-				held = nil
-			}
-			if err := p.RestoreState(saved); err != nil {
-				t.Fatal(err)
-			}
-			d.RestoreState(saved)
 		}
-		if sp, sd := p.State(), d.State(); !reflect.DeepEqual(sp, sd) {
-			t.Fatalf("step %d: State differs", step)
+		if cp, cd := dirContents(p), d.contents(); !reflect.DeepEqual(cp, cd) {
+			t.Fatalf("step %d: contents differ", step)
 		}
 	}
 }

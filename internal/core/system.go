@@ -40,7 +40,9 @@ type Config struct {
 	Net          mesh.Config
 
 	// Check attaches the shadow-memory coherence checker and the
-	// stalled-transaction watchdog (internal/check) to the run. Off by
+	// stalled-transaction watchdog (internal/check) to the run, and
+	// checks at every phase end that no transaction record or MSHR
+	// entry survived the drain (proto.CheckQuiescent). Off by
 	// default: with Check false the kernel event stream is bit-identical
 	// to a build without the checker.
 	Check bool
@@ -537,6 +539,11 @@ func (s *System) runPhase(refs int) (sim.Time, uint64, error) {
 	}
 	// Drain residual traffic (writebacks, acks) so counters are final.
 	s.Kernel.Run(0)
+	if cfg.Check {
+		if err := proto.CheckQuiescent(s.Engine); err != nil {
+			return 0, 0, err
+		}
+	}
 	// Fencepost sample: the phase's final state, so warmup-vs-steady
 	// curves always include the phase boundary.
 	if s.Sampler != nil {
@@ -566,9 +573,7 @@ func (s *System) timedPhase(name string, refs int) (sim.Time, uint64, error) {
 // RunWarmup executes the optional warmup phase and discards its
 // activity from every counter, leaving the system at the quiescent
 // warmup/measure boundary: the kernel queue is drained, no misses are
-// in flight, and all transient protocol state is gone. This is the
-// point where internal/snapshot captures the system so one warmup can
-// fork into many measure phases.
+// in flight, and all transient protocol state is gone.
 func (s *System) RunWarmup() error {
 	cfg := s.Cfg
 	if cfg.WarmupRefs == 0 {
@@ -591,8 +596,8 @@ func (s *System) RunWarmup() error {
 	return nil
 }
 
-// RunMeasure executes the measured phase from the current (post-warmup
-// or restored) state and returns the collected result.
+// RunMeasure executes the measured phase from the current (post-warmup)
+// state and returns the collected result.
 func (s *System) RunMeasure() (*Result, error) {
 	cfg := s.Cfg
 	start := s.Kernel.Now()
@@ -673,14 +678,6 @@ func (s *System) Run() (*Result, error) {
 	}
 	return s.RunMeasure()
 }
-
-// RefsRetired returns the cumulative reference count across phases
-// (the value the telemetry sampler reads).
-func (s *System) RefsRetired() uint64 { return s.refsTotal }
-
-// SetRefsRetired overwrites the cumulative reference count; snapshot
-// restore uses it so a forked system's telemetry continues seamlessly.
-func (s *System) SetRefsRetired(n uint64) { s.refsTotal = n }
 
 // Run validates cfg, then builds and runs a system in one call.
 func Run(cfg Config) (*Result, error) {

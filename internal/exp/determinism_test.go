@@ -165,7 +165,7 @@ func TestRunConfigsMatchesRun(t *testing.T) {
 	for _, p := range core.ProtocolNames {
 		cfgs = append(cfgs, detConfig(p))
 	}
-	pooled, err := RunConfigs(cfgs, 4, nil)
+	pooled, _, err := RunConfigs(cfgs, Options{Workers: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

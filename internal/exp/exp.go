@@ -4,7 +4,6 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"sort"
@@ -14,7 +13,6 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/power"
 	"repro/internal/proto"
-	"repro/internal/snapshot"
 	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/topo"
@@ -24,7 +22,7 @@ import (
 // ResultCache stores finished runs keyed by their full configuration.
 // obs.RunCache implements it (the interface lives here because obs
 // imports exp for the manifest converters). Load returns (nil, false,
-// nil) on a miss.
+// nil) on a miss. RunConfigs never calls Store concurrently.
 type ResultCache interface {
 	Load(cfg core.Config) (*core.Result, bool, error)
 	Store(res *core.Result) error
@@ -54,12 +52,13 @@ type Options struct {
 	// (workload, protocol) run owns its kernel, chip and RNG, so the
 	// sweep parallelizes without sharing; results are identical to a
 	// serial sweep for a given seed. 0 means runtime.GOMAXPROCS(0);
-	// 1 forces the serial path.
+	// 1 runs the cells one at a time.
 	Workers int
 
 	// Cache, when non-nil, resolves already-computed cells to disk
-	// reads and stores every freshly computed one, making repeated
-	// sweeps incremental (see obs.RunCache). Results are bit-identical
+	// reads and stores every freshly computed one as soon as it
+	// finishes, making repeated and interrupted sweeps incremental
+	// (see obs.RunCache). Results are bit-identical
 	// either way: a hit decodes through the same integrity-checked
 	// path as a saved manifest.
 	Cache ResultCache
@@ -106,11 +105,12 @@ type Matrix struct {
 }
 
 // Run executes the full sweep, fanning the (workload, protocol) matrix
-// out over opt.Workers goroutines. progress (optional) is called
-// before each run, in matrix order, never concurrently; cache hits are
-// resolved up front and get no progress call. Result assembly is
-// deterministic: each run writes only its own matrix cell, and on
-// error the first failure in matrix order is reported.
+// out over opt.Workers goroutines through RunConfigs. progress
+// (optional) is called before each run, in matrix order, never
+// concurrently; cache hits are resolved up front and get no progress
+// call. Result assembly is deterministic: each run writes only its own
+// matrix cell, and on error the first failure in matrix order is
+// reported.
 func Run(opt Options, progress func(workload, protocol string)) (*Matrix, error) {
 	type job struct{ wl, protocol string }
 	jobs := make([]job, 0, len(opt.Workloads)*len(core.ProtocolNames))
@@ -125,7 +125,7 @@ func Run(opt Options, progress func(workload, protocol string)) (*Matrix, error)
 	if progress != nil {
 		onStart = func(i int) { progress(jobs[i].wl, jobs[i].protocol) }
 	}
-	results, cs, err := runShared(cfgs, opt.Cache, opt.Workers, onStart, opt.OnSystem)
+	results, cs, err := RunConfigs(cfgs, opt, onStart)
 	if err != nil {
 		return nil, err
 	}
@@ -139,45 +139,39 @@ func Run(opt Options, progress func(workload, protocol string)) (*Matrix, error)
 	return m, nil
 }
 
-// warmupKey groups configurations that provably reach bit-identical
-// state at the warmup/measure boundary: equal snapshot.WarmupConfig
-// normalizations. The JSON encoding of the normalized config is the
-// key.
-func warmupKey(cfg core.Config) string {
-	data, err := json.Marshal(snapshot.WarmupConfig(cfg))
-	if err != nil {
-		panic(err) // flat struct of scalars; cannot fail
-	}
-	return string(data)
-}
-
-// runShared is the execution engine behind Run and RunConfigs: it
-// resolves cache hits, groups the remaining configurations by
-// warmupKey, and runs each group as one warmup phase forked into that
-// group's measure phases (internal/snapshot guarantees the fork is
-// bit-identical to a straight-through run, so sharing is purely a
-// wall-clock optimization). Singleton groups and warmup-free configs
-// take the plain core.Run path. Groups are claimed by a worker pool in
-// first-appearance order; within a group, members run in input order.
-// Freshly computed results are stored back into the cache.
-func runShared(cfgs []core.Config, cache ResultCache, workers int, progress func(i int), onSystem func(s *core.System)) ([]*core.Result, CacheStats, error) {
+// RunConfigs is the sweep's worker pool, for arbitrary configurations:
+// configuration i's result lands in slot i, bit-identical to a
+// core.Run of it. It takes opt's Workers, Cache and OnSystem (Workloads
+// and Base are Run's). Every configuration is validated and every cache
+// hit resolved before any simulation starts. Workers then claim the
+// misses in input order; progress (optional) is called with the index
+// of each claimed run under the claim lock, so calls arrive in input
+// order and never concurrently. OnSystem calls and cache stores are
+// serialized too, and each finished run is stored at once, so an
+// interrupted or partly failing sweep keeps every run that completed.
+// A failed run does not stop the others; the first error in input
+// order is returned.
+func RunConfigs(cfgs []core.Config, opt Options, progress func(i int)) ([]*core.Result, CacheStats, error) {
 	results := make([]*core.Result, len(cfgs))
 	errs := make([]error, len(cfgs))
 	var cs CacheStats
+	wrap := func(i int, err error) error {
+		return fmt.Errorf("config %d (%s/%s): %w", i, cfgs[i].Workload, cfgs[i].Protocol, err)
+	}
 
 	// Validate everything first, then resolve cache hits, so a sweep
 	// with a bad cell fails before any simulation or disk write.
 	for i, cfg := range cfgs {
 		if err := cfg.Validate(); err != nil {
-			return nil, cs, fmt.Errorf("config %d (%s/%s): %w", i, cfg.Workload, cfg.Protocol, err)
+			return nil, cs, wrap(i, err)
 		}
 	}
 	var pending []int
 	for i, cfg := range cfgs {
-		if cache != nil {
-			res, ok, err := cache.Load(cfg)
+		if opt.Cache != nil {
+			res, ok, err := opt.Cache.Load(cfg)
 			if err != nil {
-				return nil, cs, fmt.Errorf("config %d (%s/%s): %w", i, cfg.Workload, cfg.Protocol, err)
+				return nil, cs, wrap(i, err)
 			}
 			if ok {
 				results[i] = res
@@ -189,226 +183,67 @@ func runShared(cfgs []core.Config, cache ResultCache, workers int, progress func
 		pending = append(pending, i)
 	}
 
-	// Group the misses by warmup equivalence, preserving first-seen
-	// order so the progress callback stays deterministic.
-	groupOf := map[string]int{}
-	var groups [][]int
-	for _, i := range pending {
-		k := warmupKey(cfgs[i])
-		g, ok := groupOf[k]
-		if !ok {
-			g = len(groups)
-			groupOf[k] = g
-			groups = append(groups, nil)
-		}
-		groups[g] = append(groups[g], i)
-	}
-
+	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(groups) {
-		workers = len(groups)
+	if workers > len(pending) {
+		workers = len(pending)
 	}
-
-	var mu sync.Mutex
-	report := func(i int) {
-		if progress != nil {
-			progress(i)
-		}
-	}
-	// runGroup runs one group. The caller has already reported the
-	// start of its first member, at claim time and under mu, so groups
-	// report in claim order however the workers interleave afterwards.
-	runGroup := func(members []int) {
-		start := func(k, i int) {
-			if k > 0 {
-				mu.Lock()
-				report(i)
-				mu.Unlock()
-			}
-		}
-		// built serializes the OnSystem hook across worker goroutines.
-		built := func(s *core.System) {
-			if onSystem != nil {
-				mu.Lock()
-				onSystem(s)
-				mu.Unlock()
-			}
-		}
-		if len(members) == 1 || cfgs[members[0]].WarmupRefs == 0 {
-			for k, i := range members {
-				start(k, i)
-				s, err := core.NewSystem(cfgs[i])
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				built(s)
-				results[i], errs[i] = s.Run()
-			}
-			return
-		}
-		// One warmup, many measures. The warmup runs under the
-		// normalized config (with a legal RefsPerCore — the measure
-		// length is irrelevant to the warmup phase and overridden by
-		// each fork's own config).
-		warmCfg := snapshot.WarmupConfig(cfgs[members[0]])
-		warmCfg.RefsPerCore = cfgs[members[0]].RefsPerCore
-		fail := func(err error) {
-			for _, i := range members {
-				errs[i] = err
-			}
-		}
-		ws, err := core.NewSystem(warmCfg)
-		if err != nil {
-			fail(err)
-			return
-		}
-		if err := ws.RunWarmup(); err != nil {
-			fail(err)
-			return
-		}
-		st, err := snapshot.Capture(ws)
-		if err != nil {
-			fail(err)
-			return
-		}
-		for k, i := range members {
-			start(k, i)
-			fs, err := snapshot.Fork(st, cfgs[i])
-			if err != nil {
-				errs[i] = err
-				continue
-			}
-			built(fs)
-			results[i], errs[i] = fs.RunMeasure()
-		}
-	}
-
-	if workers <= 1 {
-		for _, g := range groups {
-			report(g[0])
-			runGroup(g)
-		}
-	} else {
-		var (
-			next int
-			wg   sync.WaitGroup
-		)
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					mu.Lock()
-					if next >= len(groups) {
-						mu.Unlock()
-						return
-					}
-					g := next
-					next++
-					report(groups[g][0])
-					mu.Unlock()
-					runGroup(groups[g])
-				}
-			}()
-		}
-		wg.Wait()
-	}
-
-	for _, i := range pending {
-		if errs[i] != nil {
-			return nil, cs, fmt.Errorf("config %d (%s/%s): %w", i, cfgs[i].Workload, cfgs[i].Protocol, errs[i])
-		}
-		if cache != nil {
-			if err := cache.Store(results[i]); err != nil {
-				return nil, cs, fmt.Errorf("config %d (%s/%s): %w", i, cfgs[i].Workload, cfgs[i].Protocol, err)
-			}
-		}
-	}
-	return results, cs, nil
-}
-
-// RunSystems is RunConfigs for callers that also need each run's built
-// System — the telemetry consumers (tracer, sampler, live endpoint)
-// hang off the System, not the Result. onBuild (optional) is called
-// with each system after construction and before its run starts, never
-// concurrently, so callers can attach live hooks without their own
-// synchronization. Systems land in slot i like results do.
-func RunSystems(cfgs []core.Config, workers int, onBuild func(i int, s *core.System)) ([]*core.Result, []*core.System, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cfgs) {
-		workers = len(cfgs)
-	}
-	results := make([]*core.Result, len(cfgs))
-	systems := make([]*core.System, len(cfgs))
-	errs := make([]error, len(cfgs))
 	var (
 		mu   sync.Mutex
 		next int
 		wg   sync.WaitGroup
 	)
+	// claim hands out the next pending run and reports its start, both
+	// under mu, so starts are reported in claim order.
+	claim := func() (int, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if next >= len(pending) {
+			return 0, false
+		}
+		i := pending[next]
+		next++
+		if progress != nil {
+			progress(i)
+		}
+		return i, true
+	}
+	run := func(i int) (*core.Result, error) {
+		s, err := core.NewSystem(cfgs[i])
+		if err != nil {
+			return nil, err
+		}
+		if opt.OnSystem != nil {
+			mu.Lock()
+			opt.OnSystem(s)
+			mu.Unlock()
+		}
+		res, err := s.Run()
+		if err != nil || opt.Cache == nil {
+			return res, err
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		return res, opt.Cache.Store(res)
+	}
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				mu.Lock()
-				if next >= len(cfgs) {
-					mu.Unlock()
-					return
-				}
-				i := next
-				next++
-				mu.Unlock()
-				if err := cfgs[i].Validate(); err != nil {
-					errs[i] = err
-					continue
-				}
-				sys, err := core.NewSystem(cfgs[i])
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				systems[i] = sys
-				if onBuild != nil {
-					mu.Lock()
-					onBuild(i, sys)
-					mu.Unlock()
-				}
-				results[i], errs[i] = sys.Run()
+			for i, ok := claim(); ok; i, ok = claim() {
+				results[i], errs[i] = run(i)
 			}
 		}()
 	}
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			return nil, nil, fmt.Errorf("config %d (%s/%s): %w", i, cfgs[i].Workload, cfgs[i].Protocol, err)
+			return nil, cs, wrap(i, err)
 		}
 	}
-	return results, systems, nil
-}
-
-// RunConfigs executes arbitrary configurations through the same
-// engine as Run: configuration i's result lands in slot i, and
-// configurations whose warmups are provably identical (equal
-// snapshot.WarmupConfig) share one warmup phase via checkpoint/fork —
-// results stay bit-identical to individual core.Run calls. progress
-// (optional) is called with the index of each run as it starts, never
-// concurrently. The first error in slice order wins.
-func RunConfigs(cfgs []core.Config, workers int, progress func(i int)) ([]*core.Result, error) {
-	results, _, err := runShared(cfgs, nil, workers, progress, nil)
-	return results, err
-}
-
-// RunConfigsCached is RunConfigs with a result cache: hits resolve to
-// disk reads, misses are computed (sharing warmups where possible) and
-// stored back.
-func RunConfigsCached(cfgs []core.Config, cache ResultCache, workers int, progress func(i int)) ([]*core.Result, CacheStats, error) {
-	return runShared(cfgs, cache, workers, progress, nil)
+	return results, cs, nil
 }
 
 // Table5 renders the per-tile storage breakdown (Table V).

@@ -28,6 +28,43 @@ func engineInternals(e Engine) (tiles []*tileState, ctx *Context) {
 	return
 }
 
+// CheckQuiescent reports transient state that survived a drained
+// phase: a live transaction record or an outstanding MSHR entry on any
+// tile. Once the kernel queue is empty nothing can retire either, so a
+// survivor is hidden state that would leak into the next phase. It
+// only reads state.
+func CheckQuiescent(e Engine) error {
+	tiles, _ := engineInternals(e)
+	if tiles == nil {
+		return fmt.Errorf("proto: unknown engine %T", e)
+	}
+	for i, t := range tiles {
+		if t.tx.count != 0 {
+			var desc string
+			t.tx.forEach(func(r *txRecord) {
+				if desc == "" {
+					desc = fmt.Sprintf("block %#x flags=%#x l1q=%d homeq=%d",
+						r.addr, r.flags, waiterLen(r.l1Head), waiterLen(r.homeHead))
+				}
+			})
+			return fmt.Errorf("proto: %s tile %d not quiescent: %d live transaction records (first: %s)",
+				e.Name(), i, t.tx.count, desc)
+		}
+		if n := t.mshr.Outstanding(); n > 0 {
+			return fmt.Errorf("proto: %s tile %d not quiescent: %d misses in flight", e.Name(), i, n)
+		}
+	}
+	return nil
+}
+
+func waiterLen(w *waiter) int {
+	n := 0
+	for ; w != nil; w = w.next {
+		n++
+	}
+	return n
+}
+
 // FormatBlockState returns the global state of one block: every L1
 // copy, the home L2 line and pointer caches, and the per-tile stall
 // state (debug aid).

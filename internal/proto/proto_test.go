@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -280,6 +281,35 @@ func TestCommonL2CapacityEvictions(t *testing.T) {
 				addr := cache.Addr(uint64(i) * 64)
 				c.access(1, addr, i%4 == 0)
 				c.access(33, addr, false)
+			}
+		})
+	}
+}
+
+// TestCheckQuiescent: an access issued and not yet drained leaves an
+// MSHR entry (and, when a second access to the block stalls behind it,
+// a transaction record) that the check reports; draining the kernel
+// retires both and the check passes.
+func TestCheckQuiescent(t *testing.T) {
+	for _, e := range allEngines {
+		t.Run(e.name, func(t *testing.T) {
+			c := newTestChip(t, e.mk)
+			if err := CheckQuiescent(c.eng); err != nil {
+				t.Fatalf("fresh engine: %v", err)
+			}
+			c.eng.Access(0, 0x40, false, func() {})
+			err := CheckQuiescent(c.eng)
+			if err == nil || !strings.Contains(err.Error(), "misses in flight") {
+				t.Fatalf("issued miss: got %v, want misses in flight", err)
+			}
+			c.eng.Access(0, 0x40, true, func() {})
+			err = CheckQuiescent(c.eng)
+			if err == nil || !strings.Contains(err.Error(), "live transaction records") {
+				t.Fatalf("stalled access: got %v, want live transaction records", err)
+			}
+			c.kernel.Run(0)
+			if err := CheckQuiescent(c.eng); err != nil {
+				t.Fatalf("after drain: %v", err)
 			}
 		})
 	}
