@@ -65,6 +65,18 @@ func (p *PointerCache) Lookup(a Addr) (ptr int16, ok bool) {
 	return 0, false
 }
 
+// Peek returns the pointer stored for a, if any, without counting an
+// access or touching the replacement state (checks and debug dumps).
+func (p *PointerCache) Peek(a Addr) (ptr int16, ok bool) {
+	base := p.setOf(a) * p.ways
+	for w := 0; w < p.ways; w++ {
+		if i := base + w; p.tags[i] == a+1 {
+			return p.ptrs[i], true
+		}
+	}
+	return 0, false
+}
+
 // Update stores ptr for a, inserting (and possibly evicting LRU) if a
 // is absent. It returns the evicted address and its stored pointer if
 // an insertion displaced a valid entry — the pointer identifies the

@@ -100,15 +100,6 @@ const (
 	PageDedup
 )
 
-type pageKey struct {
-	vm    int
-	vpage uint64
-}
-
-// tlbSize is the size of the mapper's direct-mapped translation cache
-// (power of two). Collisions simply fall back to the map-based path.
-const tlbSize = 8192
-
 // cowFrameBase is the physical page number of the first reserved
 // copy-on-write frame. CoW frames are reserved at page-table
 // construction (one per deduplicated (vm, vpage) pair, in construction
@@ -118,20 +109,35 @@ const tlbSize = 8192
 // block addresses stay under 2^40.
 const cowFrameBase = 1 << 30
 
-// tlbEntry caches one established (vm, vpage, class) -> phys mapping.
-// writeSafe is false for a deduplicated page still resolved to the
-// shared frame: a write to it must take the slow path to break the
-// sharing (copy-on-write). until bounds the entry's validity: zero
-// means forever; a nonzero value marks a pending copy-on-write break
-// whose new frame becomes visible at that cycle, so lookups at or past
-// it must re-resolve through the maps.
-type tlbEntry struct {
-	vm        int32
-	class     int8
-	writeSafe bool
-	vpage     uint64
-	phys      uint64
-	until     sim.Time
+// never is the visibility time of a deduplicated pair whose sharing is
+// unbroken: its own frame is not visible at any cycle.
+const never = ^sim.Time(0)
+
+// Page is the handle of one established (vm, vpage) pair: an index into
+// the mapper's dense page table. Handles are assigned in establishment
+// order and stay valid for the mapper's lifetime.
+type Page int32
+
+// pairKey names a (vm, vpage) pair at establishment. dedup marks a pair
+// resolved through the content-id map, which has state of its own even
+// if the same pair is also mapped privately.
+type pairKey struct {
+	vpage uint64
+	vm    int32
+	dedup bool
+}
+
+// pageEntry is the page-table record of one pair. From cycle at on the
+// pair resolves to own; before at it resolves to shared. A private pair
+// has own == shared and at 0. A deduplicated pair resolves to the
+// content's shared frame, own is its reserved copy-on-write frame, and
+// at is never until a write breaks the sharing and sets it to the cycle
+// the copy becomes visible. Frames fit 32 bits: there are fewer than
+// 2^31 pairs (Page is an int32), so regular frames stay below 2^31 and
+// copy-on-write frames below cowFrameBase + 2^31.
+type pageEntry struct {
+	shared, own uint32
+	at          sim.Time
 }
 
 // Mapper is the hypervisor page table: it maps (vm, virtual page) to
@@ -139,17 +145,19 @@ type tlbEntry struct {
 // deduplication is enabled, and breaking the sharing with copy-on-write
 // when a deduplicated page is written. A break's new frame becomes
 // visible to readers only delay cycles later (SetCoWDelay).
+//
+// Pairs are established once (Establish), which allocates their
+// frames, and then translated through their handle (TranslatePage):
+// the per-reference path is one indexed load, with no hashing.
 type Mapper struct {
-	dedup      bool
-	nextPhys   uint64
-	private    map[pageKey]uint64
-	shared     map[uint64]uint64    // content id (vpage) -> phys page
-	cowRes     map[pageKey]uint64   // reserved CoW frame per dedup pair
-	cowAt      map[pageKey]sim.Time // break visibility time; presence = broken
-	cowNext    uint64
-	sharedSeen map[pageKey]bool // (vm, vpage) pairs already counted
-	delay      sim.Time         // read visibility delay of a CoW break
-	tlb        []tlbEntry       // direct-mapped front cache
+	dedup    bool
+	nextPhys uint64
+	cowNext  uint64
+	delay    sim.Time // read visibility delay of a CoW break
+
+	pages  []pageEntry
+	index  map[pairKey]Page  // establishment only
+	shared map[uint64]uint64 // content id (vpage) -> phys page
 
 	// Statistics.
 	PrivatePages uint64
@@ -160,23 +168,10 @@ type Mapper struct {
 
 // NewMapper returns a mapper with deduplication enabled or disabled.
 func NewMapper(dedup bool) *Mapper {
-	m := &Mapper{
-		dedup:      dedup,
-		private:    make(map[pageKey]uint64),
-		shared:     make(map[uint64]uint64),
-		cowRes:     make(map[pageKey]uint64),
-		cowAt:      make(map[pageKey]sim.Time),
-		sharedSeen: make(map[pageKey]bool),
-		tlb:        make([]tlbEntry, tlbSize),
-	}
-	m.flushTLB()
-	return m
-}
-
-// flushTLB invalidates every TLB entry.
-func (m *Mapper) flushTLB() {
-	for i := range m.tlb {
-		m.tlb[i] = tlbEntry{vm: -1}
+	return &Mapper{
+		dedup:  dedup,
+		index:  make(map[pairKey]Page),
+		shared: make(map[uint64]uint64),
 	}
 }
 
@@ -195,114 +190,80 @@ func (m *Mapper) allocPhys() uint64 {
 	return p
 }
 
-// reserveCoW assigns the pair its predetermined copy-on-write frame.
-// Pairs are first seen at construction, so the reservation order is
-// deterministic.
-func (m *Mapper) reserveCoW(key pageKey) {
-	m.cowRes[key] = cowFrameBase + m.cowNext
-	m.cowNext++
-}
-
-// Translate maps a virtual page of a VM to a physical page at cycle 0:
-// the construction-time form of TranslateAt.
-func (m *Mapper) Translate(vm int, vpage uint64, class PageClass, write bool) (phys uint64, cow bool) {
-	return m.TranslateAt(vm, vpage, class, write, 0)
-}
-
-// TranslateAt maps a virtual page of a VM to a physical page, as seen
-// at cycle now. write triggers copy-on-write on
-// deduplicated pages. The returned cow flag reports that this call
-// broke a sharing (the caller may account a page-copy cost).
-//
-// A direct-mapped cache sits in front of the page-table maps:
-// once a mapping is established (and, for deduplicated pages, once any
-// copy-on-write has resolved and become visible) the maps are never
-// consulted again for it. First touches and CoW-breaking writes always
-// reach the slow path, so the mapper's statistics and allocation order
-// are unchanged.
-func (m *Mapper) TranslateAt(vm int, vpage uint64, class PageClass, write bool, now sim.Time) (phys uint64, cow bool) {
-	e := &m.tlb[tlbIndex(pageKey{vm, vpage})]
-	if e.vpage == vpage && e.vm == int32(vm) && e.class == int8(class) &&
-		(e.writeSafe || !write) && (e.until == 0 || now < e.until) {
-		return e.phys, false
+// Establish maps a virtual page of a VM and returns its handle. The
+// first call for a pair allocates: a private frame, or for a
+// deduplicated page the content's shared frame on its first VM (later
+// VMs count a DedupRefs each) plus the pair's reserved copy-on-write
+// frame. Later calls return the same handle.
+func (m *Mapper) Establish(vm int, vpage uint64, class PageClass) Page {
+	key := pairKey{vpage, int32(vm), class == PageDedup && m.dedup}
+	if pg, ok := m.index[key]; ok {
+		return pg
 	}
-	phys, cow, writeSafe, until, cache := m.translateSlow(vm, vpage, class, write, now)
-	if cache {
-		// Writes inside a pending break are not cached: their frame is
-		// not readable until the visibility time, and the shootdown a
-		// break issued would be undone by the refill.
-		*e = tlbEntry{vm: int32(vm), class: int8(class), writeSafe: writeSafe,
-			vpage: vpage, phys: phys, until: until}
-	}
-	return phys, cow
-}
-
-func (m *Mapper) translateSlow(vm int, vpage uint64, class PageClass, write bool, now sim.Time) (phys uint64, cow, writeSafe bool, until sim.Time, cache bool) {
-	key := pageKey{vm, vpage}
-	if class != PageDedup || !m.dedup {
-		if p, ok := m.private[key]; ok {
-			return p, false, true, 0, true
-		}
-		p := m.allocPhys()
-		m.private[key] = p
+	e := pageEntry{}
+	if !key.dedup {
+		e.shared = uint32(m.allocPhys())
+		e.own = e.shared
 		m.PrivatePages++
-		return p, false, true, 0, true
-	}
-	// Deduplicated page: one physical copy per content id unless this
-	// VM broke it with a (visible) write.
-	vAt, broken := m.cowAt[key]
-	if broken && now >= vAt {
-		return m.cowRes[key], false, true, 0, true
-	}
-	sp, known := m.shared[vpage]
-	if !write && known && m.sharedSeen[key] {
-		if broken {
-			// Pending break: readers resolve to the shared frame until
-			// the new copy becomes visible.
-			return sp, false, false, vAt, true
+	} else {
+		sp, known := m.shared[vpage]
+		if !known {
+			sp = m.allocPhys()
+			m.shared[vpage] = sp
+			m.SharedPages++
+		} else {
+			// A new VM maps an already-deduplicated page: one page saved.
+			m.DedupRefs++
 		}
-		return sp, false, false, 0, true
+		e.shared = uint32(sp)
+		e.own = uint32(cowFrameBase + m.cowNext)
+		m.cowNext++
+		e.at = never
 	}
-	// First touch of the pair, or a write.
-	if !known {
-		sp = m.allocPhys()
-		m.shared[vpage] = sp
-		m.SharedPages++
-		m.sharedSeen[key] = true
-		m.reserveCoW(key)
-	} else if !m.sharedSeen[key] {
-		// A new VM maps an already-deduplicated page: one page saved.
-		m.sharedSeen[key] = true
-		m.DedupRefs++
-		m.reserveCoW(key)
+	pg := Page(len(m.pages))
+	m.pages = append(m.pages, e)
+	m.index[key] = pg
+	return pg
+}
+
+// Translate establishes a virtual page of a VM and translates it at
+// cycle 0.
+func (m *Mapper) Translate(vm int, vpage uint64, class PageClass, write bool) (phys uint64, cow bool) {
+	return m.TranslatePage(m.Establish(vm, vpage, class), write, 0)
+}
+
+// TranslatePage maps an established page to its physical page, as seen
+// at cycle now. write triggers copy-on-write on deduplicated pages. The
+// returned cow flag reports that this call broke a sharing (the caller
+// may account a page-copy cost).
+func (m *Mapper) TranslatePage(pg Page, write bool, now sim.Time) (phys uint64, cow bool) {
+	e := &m.pages[pg]
+	if now >= e.at {
+		return uint64(e.own), false
 	}
 	if !write {
-		return sp, false, false, 0, true
+		// Unbroken, or a pending break: readers resolve to the shared
+		// frame until the copy becomes visible.
+		return uint64(e.shared), false
 	}
-	frame := m.cowRes[key]
+	return m.breakCoW(e, now)
+}
+
+// breakCoW handles a write to a deduplicated page whose copy is not yet
+// visible. The writer gets its copy at once; readers see it delay
+// cycles later.
+func (m *Mapper) breakCoW(e *pageEntry, now sim.Time) (phys uint64, cow bool) {
 	nv := now + m.delay
-	if broken {
+	if e.at != never {
 		// A second writer inside the visibility window: the break
 		// already counted; keep the earliest visibility time.
-		if nv < vAt {
-			m.cowAt[key] = nv
-			m.shootdown(key)
-		}
-		return frame, false, true, 0, false
+		e.at = min(e.at, nv)
+		return uint64(e.own), false
 	}
-	m.cowAt[key] = nv
+	e.at = nv
 	m.CoWBreaks++
-	m.shootdown(key)
-	return frame, true, true, 0, false
+	return uint64(e.own), true
 }
-
-// tlbIndex is the TLB slot of a (vm, vpage) pair.
-func tlbIndex(key pageKey) uint64 {
-	return (key.vpage ^ uint64(key.vm)<<59) * 0x9E3779B97F4A7C15 >> 32 & (tlbSize - 1)
-}
-
-// shootdown invalidates the TLB slot of a broken pair.
-func (m *Mapper) shootdown(key pageKey) { m.tlb[tlbIndex(key)] = tlbEntry{vm: -1} }
 
 // BlockAddr converts a physical page and block offset into a block
 // address.

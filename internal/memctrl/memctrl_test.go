@@ -170,27 +170,17 @@ func TestMapperDistinctContentDistinctFrames(t *testing.T) {
 	}
 }
 
-// tlbSlot mirrors the hash in Mapper.Translate; the collision tests
-// below construct keys that provably share a slot, and this keeps them
-// honest if the hash ever changes.
-func tlbSlot(vm int, vpage uint64) uint64 {
-	return (vpage ^ uint64(vm)<<59) * 0x9E3779B97F4A7C15 >> 32 & (tlbSize - 1)
-}
-
-// TestTLBCollisionCorrectness forces two distinct (vm, vpage) keys
-// into the same direct-mapped TLB slot and checks that each always
-// translates to its own established physical page. The TLB hash folds
-// the VM id into bits the vpage also occupies, so a slot match alone
-// says nothing — only the full-key compare in the entry makes a hit
-// valid, and this is the regression test for it.
+// TestTLBCollisionCorrectness takes two distinct (vm, vpage) keys that
+// shared a slot of the direct-mapped translation cache the page table
+// used to have (the reference model's refTLBIndex) and checks that
+// each always translates to its own established physical page.
 func TestTLBCollisionCorrectness(t *testing.T) {
 	vm1, vm2 := 1, 2
 	vpage1 := uint64(0x12345)
 	// XOR-cancel the folded vm bits: both keys hash identically.
 	vpage2 := vpage1 ^ uint64(vm1)<<59 ^ uint64(vm2)<<59
-	if tlbSlot(vm1, vpage1) != tlbSlot(vm2, vpage2) {
-		t.Fatalf("test premise broken: keys do not collide (slots %d, %d)",
-			tlbSlot(vm1, vpage1), tlbSlot(vm2, vpage2))
+	if refTLBIndex(refKey{vm1, vpage1}) != refTLBIndex(refKey{vm2, vpage2}) {
+		t.Fatal("test premise broken: keys do not collide")
 	}
 	for _, class := range []PageClass{PagePrivate, PageDedup} {
 		m := NewMapper(true)
@@ -199,8 +189,7 @@ func TestTLBCollisionCorrectness(t *testing.T) {
 		if class == PagePrivate && p1 == p2 {
 			t.Fatalf("class %v: distinct private pages share a frame", class)
 		}
-		// Alternate: every access evicts the other's entry, so a
-		// hash-only match would hand back the wrong frame.
+		// Alternate between the keys: each must keep its own frame.
 		for i := 0; i < 4; i++ {
 			if got, _ := m.Translate(vm1, vpage1, class, false); got != p1 {
 				t.Fatalf("class %v: (vm%d, %#x) moved from frame %d to %d after collision",
@@ -220,7 +209,7 @@ func TestTLBCollisionCoW(t *testing.T) {
 	vm1, vm2 := 3, 5
 	vpage1 := uint64(0xBEEF)
 	vpage2 := vpage1 ^ uint64(vm1)<<59 ^ uint64(vm2)<<59
-	if tlbSlot(vm1, vpage1) != tlbSlot(vm2, vpage2) {
+	if refTLBIndex(refKey{vm1, vpage1}) != refTLBIndex(refKey{vm2, vpage2}) {
 		t.Fatal("test premise broken: keys do not collide")
 	}
 	m := NewMapper(true)

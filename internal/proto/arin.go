@@ -1307,7 +1307,7 @@ func (p *Arin) CheckInvariants() {
 					}
 				}
 			}
-			if ptr, ok := th.l2c.Lookup(addr); ok && topo.Tile(ptr) != bi.owner {
+			if ptr, ok := th.l2c.Peek(addr); ok && topo.Tile(ptr) != bi.owner {
 				panic(fmt.Sprintf("arin: block %#x L2C$ %d != owner %d", addr, ptr, bi.owner))
 			}
 			continue

@@ -100,7 +100,7 @@ func FormatBlockState(e Engine, addr cache.Addr) string {
 	} else {
 		fmt.Fprintf(&b, "  L2[%d]: no line\n", home)
 	}
-	if ptr, ok := th.l2c.Lookup(addr); ok {
+	if ptr, ok := th.l2c.Peek(addr); ok {
 		fmt.Fprintf(&b, "  L2C$[%d] -> %d\n", home, ptr)
 	}
 	fmt.Fprintf(&b, "  homeBusy=%v pendingHome=%d recall=%v\n",

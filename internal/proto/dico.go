@@ -965,7 +965,7 @@ func (p *DiCo) CheckInvariants() {
 				panic(fmt.Sprintf("dico: block %#x owner %d sharing code %#x misses sharers %#x",
 					addr, owner, ol.Sharers, others))
 			}
-			if ptr, ok := th.l2c.Lookup(addr); ok && topo.Tile(ptr) != owner {
+			if ptr, ok := th.l2c.Peek(addr); ok && topo.Tile(ptr) != owner {
 				panic(fmt.Sprintf("dico: block %#x L2C$ points to %d, owner is %d", addr, ptr, owner))
 			}
 			if ol.State == dcOwnerExclusive || ol.State == dcOwnerModified {

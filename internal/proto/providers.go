@@ -1520,7 +1520,7 @@ func (p *Providers) CheckInvariants() {
 						addr, bi.owner, len(bi.holders)))
 				}
 			}
-			if ptr, ok := th.l2c.Lookup(addr); ok && topo.Tile(ptr) != bi.owner {
+			if ptr, ok := th.l2c.Peek(addr); ok && topo.Tile(ptr) != bi.owner {
 				panic(fmt.Sprintf("providers: block %#x L2C$ %d != owner %d", addr, ptr, bi.owner))
 			}
 		} else if l2line != nil {

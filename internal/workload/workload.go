@@ -308,9 +308,11 @@ const (
 	classDedup
 )
 
-// coreState is the per-core spatial/temporal-locality cursor.
+// coreState is the per-core spatial/temporal-locality cursor. page is
+// the current page's handle, translated by every reference of the
+// burst.
 type coreState struct {
-	page   uint64
+	page   memctrl.Page
 	class  pageClass
 	block  int
 	burst  int
@@ -326,6 +328,7 @@ type Generator struct {
 	rng       []*sim.Rand
 	cores     []coreState
 	threadIdx []int // core -> thread index within its VM
+	pages     []vmPages
 
 	zipfPriv []*zipf // per VM
 	zipfVM   []*zipf
@@ -334,6 +337,12 @@ type Generator struct {
 	winSize  []int
 
 	clock *sim.Kernel // translation clock (nil: cycle 0)
+}
+
+// vmPages holds the page handles of one VM's image, per class. private
+// is indexed by thread*PrivatePagesPerThread + page.
+type vmPages struct {
+	private, shared, dedup []memctrl.Page
 }
 
 // SetLanes binds the generator to the kernel whose clock Next translates
@@ -361,6 +370,7 @@ func NewGenerator(w Workload, placement *topo.Placement, mapper *memctrl.Mapper,
 		rng:       make([]*sim.Rand, nCores),
 		cores:     make([]coreState, nCores),
 		threadIdx: make([]int, nCores),
+		pages:     make([]vmPages, len(w.VMs)),
 		zipfPriv:  make([]*zipf, len(w.VMs)),
 		zipfVM:    make([]*zipf, len(w.VMs)),
 		zipfHot:   make([]*zipf, len(w.VMs)),
@@ -377,18 +387,25 @@ func NewGenerator(w Workload, placement *topo.Placement, mapper *memctrl.Mapper,
 		p := w.VMs[vm]
 		// The hypervisor maps every page of the VM image up front, so
 		// the deduplication savings reflect allocated memory (Table
-		// IV's metric) rather than the access order.
+		// IV's metric) rather than the access order. The three classes
+		// lie in disjoint regions of the VM's virtual space; dedup pages
+		// use the profile's content key so only VMs running the same
+		// application share frames.
 		threads := len(placement.TilesOf(vm))
+		vp := &g.pages[vm]
+		vp.private = make([]memctrl.Page, 0, threads*p.PrivatePagesPerThread)
 		for th := 0; th < threads; th++ {
 			for pg := 0; pg < p.PrivatePagesPerThread; pg++ {
-				mapper.Translate(vm, 1<<57|uint64(th)<<32|uint64(pg), memctrl.PagePrivate, false)
+				vp.private = append(vp.private, mapper.Establish(vm, 1<<57|uint64(th)<<32|uint64(pg), memctrl.PagePrivate))
 			}
 		}
-		for pg := 0; pg < p.VMSharedPages; pg++ {
-			mapper.Translate(vm, 1<<56|uint64(pg), memctrl.PageVMShared, false)
+		vp.shared = make([]memctrl.Page, p.VMSharedPages)
+		for pg := range vp.shared {
+			vp.shared[pg] = mapper.Establish(vm, 1<<56|uint64(pg), memctrl.PageVMShared)
 		}
-		for pg := 0; pg < p.DedupPages; pg++ {
-			mapper.Translate(vm, p.ContentKey<<20|uint64(pg), memctrl.PageDedup, false)
+		vp.dedup = make([]memctrl.Page, p.DedupPages)
+		for pg := range vp.dedup {
+			vp.dedup[pg] = mapper.Establish(vm, p.ContentKey<<20|uint64(pg), memctrl.PageDedup)
 		}
 		if p.PrivatePagesPerThread > 0 {
 			g.zipfPriv[vm] = newZipf(p.PrivatePagesPerThread, p.ZipfS)
@@ -428,6 +445,7 @@ func (g *Generator) Profile(tile topo.Tile) VMProfile {
 func (g *Generator) Next(tile topo.Tile) Access {
 	vm := g.placement.VMOf(tile)
 	p := &g.workload.VMs[vm]
+	vp := &g.pages[vm]
 	r := g.rng[tile]
 	cs := &g.cores[tile]
 
@@ -439,17 +457,17 @@ func (g *Generator) Next(tile topo.Tile) Access {
 			case u < p.DedupFrac && p.DedupPages > 0:
 				cs.class = classDedup
 				if r.Float64() < p.HotShare {
-					cs.page = uint64(g.zipfHot[vm].sample(r))
+					cs.page = vp.dedup[g.zipfHot[vm].sample(r)]
 				} else {
 					base := g.threadIdx[tile] / windowGroup * g.winSize[vm]
-					cs.page = uint64((base + g.zipfWin[vm].sample(r)) % p.DedupPages)
+					cs.page = vp.dedup[(base+g.zipfWin[vm].sample(r))%p.DedupPages]
 				}
 			case u < p.DedupFrac+p.VMSharedFrac && p.VMSharedPages > 0:
 				cs.class = classVMShared
-				cs.page = uint64(g.zipfVM[vm].sample(r))
+				cs.page = vp.shared[g.zipfVM[vm].sample(r)]
 			default:
 				cs.class = classPrivate
-				cs.page = uint64(g.zipfPriv[vm].sample(r))
+				cs.page = vp.private[g.threadIdx[tile]*p.PrivatePagesPerThread+g.zipfPriv[vm].sample(r)]
 			}
 			cs.block = r.Intn(memctrl.BlocksPerPage)
 			cs.burst = 1 + r.Intn(2*p.BurstBlocks)
@@ -479,27 +497,11 @@ func (g *Generator) Next(tile topo.Tile) Access {
 		write = true // ensure a writing visit stores at least once
 	}
 
-	vpage, mclass := g.virtualPage(vm, tile, cs.class, cs.page, p)
 	now := sim.Time(0)
 	if g.clock != nil {
 		now = g.clock.Now()
 	}
-	phys, _ := g.mapper.TranslateAt(vm, vpage, mclass, write, now)
+	phys, _ := g.mapper.TranslatePage(cs.page, write, now)
 	gap := sim.Time(r.Intn(2*p.MeanGap + 1))
 	return Access{Addr: memctrl.BlockAddr(phys, cs.block), Write: write, Gap: gap}
-}
-
-// virtualPage lays the three classes out in disjoint regions of the
-// VM's virtual space. Dedup pages use the profile's content key so
-// only VMs running the same application share frames.
-func (g *Generator) virtualPage(vm int, tile topo.Tile, class pageClass, page uint64, p *VMProfile) (uint64, memctrl.PageClass) {
-	switch class {
-	case classDedup:
-		return p.ContentKey<<20 | page, memctrl.PageDedup
-	case classVMShared:
-		return 1<<56 | page, memctrl.PageVMShared
-	default:
-		thread := uint64(g.threadIdx[tile])
-		return 1<<57 | thread<<32 | page, memctrl.PagePrivate
-	}
 }
